@@ -16,15 +16,16 @@ from .anatomy import (
     omega_l,
 )
 from .genset import (
+    CandidateTable,
     GenSetResult,
     InfeasibleCoverError,
     SearchPolicy,
+    candidate_table,
     combine_primitive_root,
     elementary_generating_set,
     exact_min_generating_set,
     generates,
     greedy_block_generating_set,
-    simultaneous_nonresidue_search,
 )
 from .modcore import (
     FieldSpec,
@@ -33,7 +34,6 @@ from .modcore import (
     field_spec,
     is_prime,
     is_primitive_root,
-    mod_pow,
     multiplicative_order,
     residue_signature,
 )

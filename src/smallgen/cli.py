@@ -26,6 +26,7 @@ from .genset import (
     GenSetResult,
     InfeasibleCoverError,
     SearchPolicy,
+    candidate_table,
     elementary_generating_set,
     exact_min_generating_set,
     greedy_block_generating_set,
@@ -86,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("density", help="average small-divisor counts of p-1 over primes <= x")
     d.add_argument("--x", type=int, required=True)
     d.add_argument("--l", type=_parse_l_list, required=True)
-    d.add_argument("--threads", type=int, default=None, help="accepted for symmetry; rows are cheap")
     d.add_argument("--format", choices=["csv", "json", "pretty"], default="csv")
     d.add_argument("--output", default=None)
 
@@ -259,10 +259,11 @@ def _cmd_genset(parser, args) -> int:
         expand_on_failure=not args.no_expand,
         hard_cap=args.hard_cap,
     )
+    table = candidate_table(field, policy)
     if args.method == "exact":
-        result = exact_min_generating_set(field, policy, size_cap=args.size_cap)
+        result = exact_min_generating_set(table, size_cap=args.size_cap)
     else:
-        result = _METHODS[args.method](field, policy)
+        result = _METHODS[args.method](table)
     if args.format == "json":
         _emit(genset_result_json(args.p, result), args.output)
         return 0

@@ -20,6 +20,7 @@ import numpy as np
 from .anatomy import anatomy_record, bound_general
 from .genset import (
     SearchPolicy,
+    candidate_table,
     elementary_generating_set,
     exact_min_generating_set,
     greedy_block_generating_set,
@@ -74,9 +75,10 @@ def survey_row(p: int, l_values=(2.0, 3.0), policy: SearchPolicy = SearchPolicy(
     """Compute one survey row for the prime p."""
     field = field_spec(p)
     record = anatomy_record(p - 1, l_values)
-    exact = exact_min_generating_set(field, policy)
-    greedy = greedy_block_generating_set(field, policy)
-    elementary = elementary_generating_set(field, policy)
+    table = candidate_table(field, policy)
+    exact = exact_min_generating_set(table)
+    greedy = greedy_block_generating_set(table)
+    elementary = elementary_generating_set(table)
     bounds = {
         l: bound_general(record.omega, record.omega_l[l], l) if l > 1 else math.nan
         for l in record.omega_l
@@ -88,7 +90,7 @@ def survey_row(p: int, l_values=(2.0, 3.0), policy: SearchPolicy = SearchPolicy(
         h_exact=len(exact.elements),
         h_greedy=len(greedy.elements),
         h_elementary=len(elementary.elements),
-        n_used=max(exact.n_used, greedy.n_used, elementary.n_used),
+        n_used=table.radius,
         asymptotic_violation=exact.asymptotic_violation,
         bounds=bounds,
         exact_elements=exact.elements,
@@ -113,12 +115,16 @@ def survey(
 
     With sample=k, every ceil(n/k)-th prime of the range is taken, starting
     from the first.  Rows come back in ascending p regardless of threads.
+    Raises ResourceLimitError when p_max exceeds the sieve cap DENSITY_LIMIT.
     """
     if p_min < 3:
         raise ValueError(f"p_min must be >= 3, got {p_min}")
     l_values = tuple(float(l) for l in l_values)
     if p_max < p_min:
         return []
+    if p_max > DENSITY_LIMIT:
+        # The sieve below holds one flag per integer in [0, p_max].
+        raise ResourceLimitError(f"survey sieves [0, p_max]; capped at p_max={DENSITY_LIMIT:.0e}")
     primes = [int(p) for p in primes_upto(p_max) if p >= p_min]
     if not primes:
         return []

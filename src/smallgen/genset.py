@@ -10,7 +10,7 @@ set-cover problem over the masks realized below a search radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .modcore import FieldSpec, multiplicative_order, residue_signature
 
@@ -86,56 +86,81 @@ def generates(elements, field: FieldSpec) -> bool:
     return union == full
 
 
-def _scan_masks(field: FieldSpec, lo: int, hi: int, masks: dict[int, int]) -> None:
-    """Record non-residue masks for n in [lo, hi]; n=1 and n=p never contribute."""
-    p = field.p
-    divs = [(1 << i, (p - 1) // q) for i, (q, _) in enumerate(field.divisors)]
-    for n in range(lo, min(hi, p - 1) + 1):
-        mask = 0
-        for bit, exp in divs:
-            if pow(n, exp, p) != 1:
-                mask |= bit
-        masks[n] = mask
+@dataclass(frozen=True)
+class CandidateTable:
+    """Non-residue masks of every candidate n in [2, radius] for one field.
+
+    masks maps n to its nonresidue_mask, keys ascending; radius is where the
+    doubling stopped because the masks jointly cover every divisor index,
+    and initial is the policy's starting radius.  All three constructions
+    and their certificates read this one table.
+    """
+
+    field: FieldSpec
+    radius: int
+    initial: int
+    masks: dict[int, int]
 
 
-def _resolve_radius(field: FieldSpec, policy: SearchPolicy):
-    """Double the radius until every divisor index has a coverer, or the cap bites.
+def candidate_table(field: FieldSpec, policy: SearchPolicy = SearchPolicy()) -> CandidateTable:
+    """Scan candidates from 2 upward, doubling the radius until every divisor
+    index has a coverer, or raise InfeasibleCoverError when the cap bites.
 
-    Returns (radius, initial_radius, masks) where masks holds the signature
-    of every candidate n in [2, radius].
+    n = 1 and n = p never contribute, so the scan stops at p - 1.
     """
     p = field.p
     full = (1 << field.r) - 1
+    divs = [(1 << i, (p - 1) // q) for i, (q, _) in enumerate(field.divisors)]
     initial = policy.initial_radius(p)
     cap = policy.cap(p)
-    radius = min(initial, cap)
     masks: dict[int, int] = {}
-    _scan_masks(field, 2, radius, masks)
+    union = 0
+    lo, radius = 2, min(initial, cap)
     while True:
-        union = 0
-        for m in masks.values():
-            union |= m
+        for n in range(lo, min(radius, p - 1) + 1):
+            mask = 0
+            for bit, exp in divs:
+                if pow(n, exp, p) != 1:
+                    mask |= bit
+            masks[n] = mask
+            union |= mask
         if union == full:
-            return radius, initial, masks
+            return CandidateTable(field=field, radius=radius, initial=initial, masks=masks)
         if radius >= cap or not policy.expand_on_failure:
             uncovered = tuple(
                 q for i, (q, _) in enumerate(field.divisors) if not union >> i & 1
             )
             raise InfeasibleCoverError(p, radius, uncovered)
-        new_radius = min(2 * radius, cap)
-        _scan_masks(field, radius + 1, new_radius, masks)
-        radius = new_radius
+        lo, radius = radius + 1, min(2 * radius, cap)
 
 
-def _certificate(elements, coverage: dict[int, int], field: FieldSpec) -> tuple[int, int]:
-    """Certified primitive root: a generating element itself if one exists,
-    else the prime-power-order combination of the covering elements."""
+def _result(table: CandidateTable, method: str, picks, exact: bool = False) -> GenSetResult:
+    """Package covering picks, read off the table, as a certified GenSetResult.
+
+    Each divisor index is covered by the first pick, in the given order, whose
+    mask has its bit.  The certificate is the smallest element with a full
+    mask (a primitive root) if there is one, else the prime-power-order
+    combination of the covering elements.
+    """
+    field, masks = table.field, table.masks
     full = (1 << field.r) - 1
-    for n in elements:
-        if residue_signature(n, field).nonresidue_mask == full:
-            return n, field.p - 1
-    g = _combine(coverage, field)
-    return g, multiplicative_order(g, field)
+    elements = tuple(sorted(picks))
+    coverage = {i: next(n for n in picks if masks[n] >> i & 1) for i in range(field.r)}
+    primitive = next((n for n in elements if masks[n] == full), None)
+    if primitive is not None:
+        certificate = (primitive, field.p - 1)
+    else:
+        g = _combine(coverage, field)
+        certificate = (g, multiplicative_order(g, field))
+    return GenSetResult(
+        elements=elements,
+        method=method,
+        coverage=coverage,
+        n_used=table.radius,
+        asymptotic_violation=table.radius > table.initial,
+        certificate=certificate,
+        exact=exact,
+    )
 
 
 def _combine(coverage: dict[int, int], field: FieldSpec) -> int:
@@ -164,61 +189,31 @@ def combine_primitive_root(result: GenSetResult, field: FieldSpec) -> int:
     return _combine(coverage, field)
 
 
-def elementary_generating_set(field: FieldSpec, policy: SearchPolicy = SearchPolicy()) -> GenSetResult:
+def elementary_generating_set(table: CandidateTable) -> GenSetResult:
     """One element per divisor: the smallest q_i-th non-residue for each q_i."""
-    radius, initial, masks = _resolve_radius(field, policy)
-    coverage: dict[int, int] = {}
-    for i in range(field.r):
-        bit = 1 << i
-        coverage[i] = next(n for n in sorted(masks) if masks[n] & bit)
-    elements = tuple(sorted(set(coverage.values())))
-    result = GenSetResult(
-        elements=elements,
-        method="elementary",
-        coverage=coverage,
-        n_used=radius,
-        asymptotic_violation=radius > initial,
-        certificate=None,
-        exact=False,
-    )
-    return _with_certificate(result, field)
+    masks = table.masks
+    picks = {next(n for n in masks if masks[n] >> i & 1) for i in range(table.field.r)}
+    return _result(table, "elementary", sorted(picks))
 
 
-def greedy_block_generating_set(field: FieldSpec, policy: SearchPolicy = SearchPolicy()) -> GenSetResult:
+def greedy_block_generating_set(table: CandidateTable) -> GenSetResult:
     """Pick candidates covering the most still-uncovered divisors (ties: smallest n)."""
-    radius, initial, masks = _resolve_radius(field, policy)
-    full = (1 << field.r) - 1
-    candidates = sorted(masks)
+    masks = table.masks
+    full = (1 << table.field.r) - 1
     covered = 0
     picks: list[int] = []
     while covered != full:
         best_n, best_gain = 0, 0
-        for n in candidates:
+        for n in masks:
             gain = (masks[n] & ~covered).bit_count()
             if gain > best_gain:
                 best_n, best_gain = n, gain
         picks.append(best_n)  # best_gain >= 1: the radius guarantees full coverage
         covered |= masks[best_n]
-    coverage: dict[int, int] = {}
-    for i in range(field.r):
-        coverage[i] = next(n for n in picks if masks[n] >> i & 1)
-    result = GenSetResult(
-        elements=tuple(sorted(picks)),
-        method="greedy",
-        coverage=coverage,
-        n_used=radius,
-        asymptotic_violation=radius > initial,
-        certificate=None,
-        exact=False,
-    )
-    return _with_certificate(result, field)
+    return _result(table, "greedy", picks)
 
 
-def exact_min_generating_set(
-    field: FieldSpec,
-    policy: SearchPolicy = SearchPolicy(),
-    size_cap: int | None = None,
-) -> GenSetResult:
+def exact_min_generating_set(table: CandidateTable, size_cap: int | None = None) -> GenSetResult:
     """Minimum-cardinality generating set below the radius, by set-cover search.
 
     Iterative deepening over cardinality with depth-first branch-and-bound on
@@ -226,54 +221,25 @@ def exact_min_generating_set(
     lexicographically smallest element list wins.  If no cover exists within
     size_cap the greedy result is returned with the exact flag cleared.
     """
-    if field.r > 64:
+    r = table.field.r
+    if r > 64:
         raise ValueError("exact search supports at most 64 divisor indices")
     if size_cap is None:
-        size_cap = field.r
+        size_cap = r
     if size_cap < 1:
         raise ValueError(f"size_cap must be >= 1, got {size_cap}")
-    radius, initial, masks = _resolve_radius(field, policy)
-    full = (1 << field.r) - 1
+    full = (1 << r) - 1
     # Smallest representative per distinct nonempty mask, in element order.
     rep_of: dict[int, int] = {}
-    for n in sorted(masks):
-        m = masks[n]
+    for n, m in table.masks.items():
         if m and m not in rep_of:
             rep_of[m] = n
     reps = sorted(rep_of.items(), key=lambda item: item[1])  # (mask, element)
-    best: tuple[int, ...] | None = None
     for k in range(1, size_cap + 1):
         best = _cover_of_size(reps, full, k)
         if best is not None:
-            break
-    if best is None:
-        fallback = greedy_block_generating_set(field, policy)
-        return _with_certificate(
-            GenSetResult(
-                elements=fallback.elements,
-                method="exact",
-                coverage=fallback.coverage,
-                n_used=radius,
-                asymptotic_violation=radius > initial,
-                certificate=None,
-                exact=False,
-            ),
-            field,
-        )
-    elements = best
-    coverage: dict[int, int] = {}
-    for i in range(field.r):
-        coverage[i] = next(n for n in elements if masks[n] >> i & 1)
-    result = GenSetResult(
-        elements=elements,
-        method="exact",
-        coverage=coverage,
-        n_used=radius,
-        asymptotic_violation=radius > initial,
-        certificate=None,
-        exact=True,
-    )
-    return _with_certificate(result, field)
+            return _result(table, "exact", best, exact=True)
+    return replace(greedy_block_generating_set(table), method="exact")
 
 
 def _cover_of_size(reps, full: int, k: int) -> tuple[int, ...] | None:
@@ -302,39 +268,3 @@ def _cover_of_size(reps, full: int, k: int) -> tuple[int, ...] | None:
         return None
 
     return dfs(0, 0, k)
-
-
-def simultaneous_nonresidue_search(field: FieldSpec, block, radius: int) -> int | None:
-    """Smallest n <= radius that is a q_i-th non-residue for every index in block."""
-    if not block:
-        raise ValueError("block must be nonempty")
-    for i in block:
-        if not 0 <= i < field.r:
-            raise ValueError(f"divisor index {i} out of range for r={field.r}")
-    want = 0
-    for i in block:
-        want |= 1 << i
-    p = field.p
-    divs = [(1 << i, (p - 1) // q) for i, (q, _) in enumerate(field.divisors) if 1 << i & want]
-    for n in range(2, min(radius, p - 1) + 1):
-        ok = True
-        for bit, exp in divs:
-            if pow(n, exp, p) == 1:
-                ok = False
-                break
-        if ok:
-            return n
-    return None
-
-
-def _with_certificate(result: GenSetResult, field: FieldSpec) -> GenSetResult:
-    g, order = _certificate(result.elements, result.coverage, field)
-    return GenSetResult(
-        elements=result.elements,
-        method=result.method,
-        coverage=result.coverage,
-        n_used=result.n_used,
-        asymptotic_violation=result.asymptotic_violation,
-        certificate=(g, order),
-        exact=result.exact,
-    )

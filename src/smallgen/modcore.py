@@ -18,15 +18,6 @@ _TRIAL_DIVISION_LIMIT = 10**6
 MAX_PRIME = 2**63  # supported field size: p < 2**63
 
 
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus, exact for arbitrary integer sizes."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if exponent < 0:
-        raise ValueError(f"exponent must be >= 0, got {exponent}")
-    return pow(base, exponent, modulus)
-
-
 def is_prime(n: int) -> bool:
     """Deterministic primality test (exact for all n < 2**64 and well beyond)."""
     if n < 2:

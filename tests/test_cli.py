@@ -28,7 +28,15 @@ def test_exit_codes(capsys):
     assert run(["genset", "--p", "13", "--frob"]) == 2  # usage: unknown flag
     assert run(["genset", "--p", "7", "--no-expand"]) == 1   # infeasible
     assert run(["sieve", "psi", "--x", str(2 * 10**8), "--u", "2"]) == 1  # resource
+    assert run(["density", "--x", "100", "--l", "3", "--threads", "2"]) == 2  # flag removed
     capsys.readouterr()
+
+
+def test_survey_past_sieve_cap_is_an_error(capsys):
+    assert run(["survey", "--min", str(2**62), "--max", str(2**62 + 100)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_help_everywhere(capsys):
@@ -36,7 +44,7 @@ def test_help_everywhere(capsys):
     for cmd, flags in [
         ("genset", ["--p", "--method", "--epsilon", "--size-cap", "--no-expand", "--hard-cap", "--format", "--output"]),
         ("survey", ["--min", "--max", "--sample", "--l", "--epsilon", "--threads", "--format", "--output"]),
-        ("density", ["--x", "--l", "--threads", "--format", "--output"]),
+        ("density", ["--x", "--l", "--format", "--output"]),
         ("sieve", ["--x", "--u", "--v", "--epsilon", "--pset", "--format", "--output"]),
         ("anatomy", ["--n", "--dyadic", "--l", "--format", "--output"]),
     ]:

@@ -19,9 +19,10 @@ from smallgen.experiments import (
     survey_json,
     survey_row,
 )
+from smallgen import experiments, genset
 from smallgen.genset import generates
 from smallgen.modcore import field_spec
-from smallgen.sievelab import primes_upto
+from smallgen.sievelab import ResourceLimitError, primes_upto
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +69,12 @@ def test_survey_validation():
         survey(3, 50, sample=0)
 
 
+def test_survey_caps_sieve_range():
+    # The sieve would need a flag per integer up to 2**62.
+    with pytest.raises(ResourceLimitError):
+        survey(2**62, 2**62 + 100)
+
+
 def test_survey_stride_sampling():
     full = survey(3, 1000)
     sampled = survey(3, 1000, sample=10)
@@ -84,6 +91,26 @@ def test_survey_threads_deterministic(rows_50):
 
 def test_survey_row_matches_batch(rows_50):
     assert survey_row(7, (2.0, 3.0)) == rows_50[2]
+
+
+def test_survey_row_scans_once(monkeypatch):
+    # One candidate table per row; constructions and certificates read its
+    # masks instead of recomputing residue signatures.
+    scanned = []
+
+    def counting_table(field, policy):
+        scanned.append(field.p)
+        return genset.candidate_table(field, policy)
+
+    def no_signature(n, field):
+        raise AssertionError(f"residue_signature({n}) called after the scan")
+
+    monkeypatch.setattr(experiments, "candidate_table", counting_table)
+    monkeypatch.setattr(genset, "residue_signature", no_signature)
+    primes = [7, 41, 577, 10007]  # 41 certifies by combination
+    for p in primes:
+        survey_row(p)
+    assert scanned == primes
 
 
 # ---------------------------------------------------------------------------

@@ -9,17 +9,9 @@ from smallgen.modcore import (
     field_spec,
     is_prime,
     is_primitive_root,
-    mod_pow,
     multiplicative_order,
     residue_signature,
 )
-
-
-def naive_pow(base, exponent, modulus):
-    r = 1
-    for _ in range(exponent):
-        r = r * base % modulus
-    return r
 
 
 def trial_division_is_prime(n):
@@ -31,29 +23,6 @@ def trial_division_is_prime(n):
             return False
         d += 1
     return True
-
-
-# ---------------------------------------------------------------------------
-# mod_pow
-# ---------------------------------------------------------------------------
-
-
-def test_mod_pow_examples():
-    assert mod_pow(2, 10, 1000) == 24
-    assert mod_pow(5, 0, 7) == 1
-    assert mod_pow(3, 10, 31) == 25 == naive_pow(3, 10, 31)
-
-
-def test_mod_pow_domain_errors():
-    with pytest.raises(ValueError):
-        mod_pow(2, 3, 1)
-    with pytest.raises(ValueError):
-        mod_pow(2, -1, 7)
-
-
-@given(st.integers(0, 10**6), st.integers(0, 200), st.integers(2, 10**6))
-def test_mod_pow_matches_naive(base, exponent, modulus):
-    assert mod_pow(base, exponent, modulus) == naive_pow(base, exponent, modulus)
 
 
 # ---------------------------------------------------------------------------
