@@ -59,11 +59,16 @@ class AnatomyRecord:
     thresholds: dict[float, float]
 
 
-def anatomy_record(n: int, l_values) -> AnatomyRecord:
-    """Evaluate omega and omega_l(n, l) for each requested l."""
+def anatomy_record(n: int, l_values, factors=None) -> AnatomyRecord:
+    """Evaluate omega and omega_l(n, l) for each requested l.
+
+    factors, if given, is the factorization of n as (prime, multiplicity)
+    pairs, e.g. FieldSpec.divisors for n = p - 1; it is then not recomputed.
+    """
     if n < 1:
         raise ValueError(f"anatomy requires n >= 1, got {n}")
-    factors = factorize(n) if n > 1 else []
+    if factors is None:
+        factors = factorize(n) if n > 1 else []
     om = len(factors)
     omega_map: dict[float, int] = {}
     thresholds: dict[float, float] = {}

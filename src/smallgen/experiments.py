@@ -74,7 +74,7 @@ class DensityRow:
 def survey_row(p: int, l_values=(2.0, 3.0), policy: SearchPolicy = SearchPolicy()) -> SurveyRow:
     """Compute one survey row for the prime p."""
     field = field_spec(p)
-    record = anatomy_record(p - 1, l_values)
+    record = anatomy_record(p - 1, l_values, field.divisors)
     table = candidate_table(field, policy)
     exact = exact_min_generating_set(table)
     greedy = greedy_block_generating_set(table)

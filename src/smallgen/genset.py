@@ -88,12 +88,16 @@ def generates(elements, field: FieldSpec) -> bool:
 
 @dataclass(frozen=True)
 class CandidateTable:
-    """Non-residue masks of every candidate n in [2, radius] for one field.
+    """Non-residue masks of the candidates n in [2, stop] for one field.
 
-    masks maps n to its nonresidue_mask, keys ascending; radius is where the
-    doubling stopped because the masks jointly cover every divisor index,
-    and initial is the policy's starting radius.  All three constructions
-    and their certificates read this one table.
+    masks maps n to its nonresidue_mask, keys ascending.  stop is the first
+    n with a full mask (the smallest primitive root) if the scan meets one,
+    else min(radius, p - 1).  radius is where the doubling stopped because
+    the masks jointly cover every divisor index, and initial is the policy's
+    starting radius.  All three constructions and their certificates read
+    this one table; stopping at a full mask changes none of their answers,
+    since that mask alone is a minimum cover and every smallest q-th
+    non-residue sits at or below it.
     """
 
     field: FieldSpec
@@ -106,7 +110,9 @@ def candidate_table(field: FieldSpec, policy: SearchPolicy = SearchPolicy()) -> 
     """Scan candidates from 2 upward, doubling the radius until every divisor
     index has a coverer, or raise InfeasibleCoverError when the cap bites.
 
-    n = 1 and n = p never contribute, so the scan stops at p - 1.
+    n = 1 and n = p never contribute, so the scan stops at p - 1.  It also
+    stops at the first full mask: the union is then full, so the current
+    step is the last one and radius is the same as for a scan to its end.
     """
     p = field.p
     full = (1 << field.r) - 1
@@ -124,6 +130,8 @@ def candidate_table(field: FieldSpec, policy: SearchPolicy = SearchPolicy()) -> 
                     mask |= bit
             masks[n] = mask
             union |= mask
+            if mask == full:
+                break
         if union == full:
             return CandidateTable(field=field, radius=radius, initial=initial, masks=masks)
         if radius >= cap or not policy.expand_on_failure:

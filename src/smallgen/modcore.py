@@ -13,7 +13,10 @@ from dataclasses import dataclass
 # Witnesses sufficient for a deterministic Miller-Rabin below 3.3e24 (> 2**64).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_TRIAL_DIVISION_LIMIT = 10**6
+# Trial division strips only the small primes: Pollard rho finishes the
+# cofactor in about q**0.5 steps for its smallest prime q, where dividing
+# on up to q would take q/2.
+_TRIAL_DIVISION_LIMIT = 4096
 
 MAX_PRIME = 2**63  # supported field size: p < 2**63
 

@@ -19,7 +19,7 @@ from smallgen.experiments import (
     survey_json,
     survey_row,
 )
-from smallgen import experiments, genset
+from smallgen import anatomy, experiments, genset, modcore
 from smallgen.genset import generates
 from smallgen.modcore import field_spec
 from smallgen.sievelab import ResourceLimitError, primes_upto
@@ -111,6 +111,23 @@ def test_survey_row_scans_once(monkeypatch):
     for p in primes:
         survey_row(p)
     assert scanned == primes
+
+
+def test_survey_row_factorizes_once(monkeypatch):
+    # field_spec factorizes p - 1 and anatomy_record reuses field.divisors.
+    factored = []
+    factorize = modcore.factorize
+
+    def counting_factorize(n):
+        factored.append(n)
+        return factorize(n)
+
+    for module in (modcore, anatomy, experiments):
+        monkeypatch.setattr(module, "factorize", counting_factorize)
+    primes = [7, 41, 577, 10007, 8608456956238879741]
+    rows = [survey_row(p) for p in primes]
+    assert factored == [p - 1 for p in primes]
+    assert [row.omega for row in rows] == [2, 2, 2, 2, 15]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from smallgen.genset import (
     GENERATION_EXPONENT,
+    CandidateTable,
     GenSetResult,
     InfeasibleCoverError,
     SearchPolicy,
@@ -120,10 +121,13 @@ def test_candidate_table_matches_pow_scan(p, hard_cap, expand):
         with pytest.raises(InfeasibleCoverError):
             survey_row(p, policy=policy)
         return
+    # The table stops at the first primitive root, if the scan meets one.
+    top = min(radius, p - 1)
+    stop = next((n for n in range(2, top + 1) if residue_signature(n, f).is_full), top)
     table = candidate_table(f, policy)
     assert table.radius == radius
     assert table.initial == policy.initial_radius(p)
-    assert list(table.masks) == list(range(2, min(radius, p - 1) + 1))
+    assert list(table.masks) == list(range(2, stop + 1))
     for n, mask in table.masks.items():
         assert mask == residue_signature(n, f).nonresidue_mask
     assert survey_row(p, policy=policy).n_used == table.radius
@@ -371,3 +375,37 @@ def test_genset_json_pinned():
         for method, construct in constructions.items():
             text = genset_result_json(p, construct(table))
             assert hashlib.sha256(text.encode()).hexdigest() == pins[method], (p, method)
+
+
+def test_early_exit_matches_full_scan():
+    # Differential oracle: the table that stops at the first primitive root
+    # must give byte-identical results to a table pow-scanned over all of
+    # [2, min(radius, p - 1)] with the same radius and initial radius.
+    constructions = {
+        "elementary": elementary_generating_set,
+        "greedy": greedy_block_generating_set,
+        "exact": exact_min_generating_set,
+        "exact size_cap=1": lambda t: exact_min_generating_set(t, size_cap=1),
+    }
+    policies = [
+        SearchPolicy(),
+        SearchPolicy(expand_on_failure=False),
+        SearchPolicy(hard_cap=4),
+        SearchPolicy(hard_cap=64),
+    ]
+    stopped_early = 0
+    for p in primes_upto(3999)[1:]:
+        f = field_spec(int(p))
+        for policy in policies:
+            try:
+                table = candidate_table(f, policy)
+            except InfeasibleCoverError:
+                continue  # the raise is checked against the pow-scan above
+            top = min(table.radius, f.p - 1)
+            masks = {n: residue_signature(n, f).nonresidue_mask for n in range(2, top + 1)}
+            full = CandidateTable(f, table.radius, table.initial, masks)
+            stopped_early += len(table.masks) < len(masks)
+            for name, construct in constructions.items():
+                want = genset_result_json(f.p, construct(full))
+                assert genset_result_json(f.p, construct(table)) == want, (f.p, policy, name)
+    assert stopped_early > 0

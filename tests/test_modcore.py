@@ -62,13 +62,68 @@ def test_factorize_rho_path():
     assert factorize(n) == [(10**9 + 7, 1), (10**9 + 9, 1)]
 
 
+def assert_factorization(n, factors):
+    assert math.prod(q**a for q, a in factors) == n
+    assert all(is_prime(q) and a >= 1 for q, a in factors)
+    assert [q for q, _ in factors] == sorted({q for q, _ in factors})
+
+
 @given(st.integers(1, 2**48))
 @settings(max_examples=200)
 def test_factorize_reconstructs(n):
-    factors = factorize(n)
-    assert math.prod(q**a for q, a in factors) == n
-    assert all(is_prime(q) for q, _ in factors)
-    assert [q for q, _ in factors] == sorted(q for q, _ in factors)
+    assert_factorization(n, factorize(n))
+
+
+# Trial division stops at 4096 and Pollard rho finishes the cofactor, so these
+# cofactors have no prime factor that trial division would reach.
+@pytest.mark.parametrize(
+    "q1, q2",
+    [
+        (2147483647, 2147483659),  # 2**31 - 1 and the next prime
+        (2146483643, 2148483661),  # primes near 2**31 -+ 10**6
+        (1610612741, 2147483659),
+    ],
+)
+def test_factorize_semiprimes_near_2_62(q1, q2):
+    n = q1 * q2
+    assert n.bit_length() >= 62
+    assert_factorization(n, factorize(n))
+    assert factorize(n) == [(q1, 1), (q2, 1)]
+
+
+@pytest.mark.parametrize("q", [4099, 65537, 999983])
+@pytest.mark.parametrize("k", [2, 3])
+def test_factorize_prime_powers_past_trial_limit(q, k):
+    assert 4096 < q <= 10**6
+    assert_factorization(q**k, factorize(q**k))
+    assert factorize(q**k) == [(q, k)]
+
+
+@pytest.mark.parametrize("p", [7, 41, 577, 10007, 8608456956238879741])
+def test_factorize_p_minus_one_of_pinned_primes(p):
+    assert_factorization(p - 1, factorize(p - 1))
+
+
+def trial_division_factors(n):
+    factors = []
+    d = 2
+    while d * d <= n:
+        a = 0
+        while n % d == 0:
+            n //= d
+            a += 1
+        if a:
+            factors.append((d, a))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors.append((n, 1))
+    return factors
+
+
+@given(st.integers(1, 10**12 - 1))
+@settings(max_examples=100, deadline=None)
+def test_factorize_matches_trial_division(n):
+    assert factorize(n) == trial_division_factors(n)
 
 
 # ---------------------------------------------------------------------------
