@@ -12,8 +12,6 @@ from .anatomy import (
     bound_general,
     bound_iterated,
     dyadic_schedule,
-    omega,
-    omega_l,
 )
 from .genset import (
     CandidateTable,
@@ -29,11 +27,9 @@ from .genset import (
 )
 from .modcore import (
     FieldSpec,
-    ResidueSignature,
     factorize,
     field_spec,
     is_prime,
-    is_primitive_root,
     multiplicative_order,
     residue_signature,
 )

@@ -16,15 +16,6 @@ _L_GUARD = 200.0  # larger l is a domain error; l**l has long lost numeric meani
 _LOG_OVERFLOW = 700.0  # l*ln(l) above this overflows float64, threshold saturates to inf
 
 
-def omega(n: int) -> int:
-    """Number of distinct prime divisors of n (omega(1) = 0)."""
-    if n < 1:
-        raise ValueError(f"omega requires n >= 1, got {n}")
-    if n == 1:
-        return 0
-    return len(factorize(n))
-
-
 def smallness_threshold(n: int, l: float) -> float:
     """The cutoff ln(n+1) * l**l below which a prime divisor counts as small."""
     if n < 1:
@@ -36,14 +27,6 @@ def smallness_threshold(n: int, l: float) -> float:
     return math.log(n + 1) * l**l
 
 
-def omega_l(n: int, l: float) -> int:
-    """Number of prime divisors of n at most ln(n+1) * l**l."""
-    cutoff = smallness_threshold(n, l)
-    if n == 1:
-        return 0
-    return sum(1 for q, _ in factorize(n) if q <= cutoff)
-
-
 def _check_l(l: float) -> None:
     if not 1.0 <= l <= _L_GUARD:
         raise ValueError(f"l must lie in [1, {_L_GUARD:g}], got {l}")
@@ -51,16 +34,20 @@ def _check_l(l: float) -> None:
 
 @dataclass(frozen=True)
 class AnatomyRecord:
-    """omega and omega_l of one integer, with the thresholds actually used."""
+    """omega and omega_l of one integer, with the thresholds actually used.
+
+    bounds[l] is bound_general(omega, omega_l[l], l), or NaN for l = 1.
+    """
 
     n: int
     omega: int
     omega_l: dict[float, int]
     thresholds: dict[float, float]
+    bounds: dict[float, float]
 
 
 def anatomy_record(n: int, l_values, factors=None) -> AnatomyRecord:
-    """Evaluate omega and omega_l(n, l) for each requested l.
+    """Evaluate omega, omega_l(n, l) and the bound shape for each requested l.
 
     factors, if given, is the factorization of n as (prime, multiplicity)
     pairs, e.g. FieldSpec.divisors for n = p - 1; it is then not recomputed.
@@ -76,7 +63,8 @@ def anatomy_record(n: int, l_values, factors=None) -> AnatomyRecord:
         cutoff = smallness_threshold(n, l)
         thresholds[float(l)] = cutoff
         omega_map[float(l)] = sum(1 for q, _ in factors if q <= cutoff)
-    return AnatomyRecord(n=n, omega=om, omega_l=omega_map, thresholds=thresholds)
+    bounds = {l: bound_general(om, w, l) if l > 1 else math.nan for l, w in omega_map.items()}
+    return AnatomyRecord(n=n, omega=om, omega_l=omega_map, thresholds=thresholds, bounds=bounds)
 
 
 def bound_general(omega_total: int, omega_small: int, l: float) -> float:
@@ -94,6 +82,10 @@ def bound_iterated(omega_levels, levels) -> float:
     levels is (l_1, ..., l_N) strictly decreasing; omega_levels is
     (omega_{l_0}, ..., omega_{l_N}) with the level-0 entry counting every
     divisor.  Returns omega_{l_N} + sum (omega_{l_n} - omega_{l_{n+1}}) / ln(l_{n+1}).
+
+    For every p < 2**63 the dyadic schedule has at most one level, and with
+    one level this equals bound_general(omega, omega_{l_1}, l_1).  It is kept
+    because it is the paper's multi-level bound.
     """
     omega_levels = list(omega_levels)
     levels = list(levels)

@@ -9,19 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
-from .anatomy import AnatomyRecord, DyadicSchedule, anatomy_record, bound_general, dyadic_schedule
-from .experiments import (
-    density_csv,
-    density_experiment,
-    density_json,
-    survey,
-    survey_csv,
-    survey_json,
-)
+from .anatomy import anatomy_record, dyadic_schedule
+from .codec import to_csv, to_json
+from .experiments import density_experiment, survey
 from .genset import (
     GenSetResult,
     InfeasibleCoverError,
@@ -35,7 +28,6 @@ from .modcore import field_spec, is_prime
 from .sievelab import (
     PrimeSetSpec,
     ResourceLimitError,
-    SieveReport,
     psi_count,
     sieve_bound_check,
 )
@@ -52,8 +44,8 @@ def _parse_l_list(text: str) -> tuple[float, ...]:
         values = tuple(float(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad l list {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("l list must be nonempty")
+    if not all(v >= 1 for v in values):
+        raise argparse.ArgumentTypeError(f"every l must be >= 1, got {text!r}")
     return values
 
 
@@ -122,93 +114,9 @@ def _emit(text: str, output: str | None) -> None:
         print(f"wrote {output}", file=sys.stderr)
 
 
-# ---------------------------------------------------------------------------
-# JSON wire formats and their readers
-# ---------------------------------------------------------------------------
-
-
 def genset_result_json(p: int, result: GenSetResult) -> str:
-    obj = {
-        "p": p,
-        "method": result.method,
-        "elements": list(result.elements),
-        "coverage": {str(i): n for i, n in sorted(result.coverage.items())},
-        "n_used": result.n_used,
-        "asymptotic_violation": result.asymptotic_violation,
-        "certificate": None
-        if result.certificate is None
-        else {"g": result.certificate[0], "order": result.certificate[1]},
-        "exact": result.exact,
-    }
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def read_genset_json(text: str) -> tuple[int, GenSetResult]:
-    obj = json.loads(text)
-    cert = obj["certificate"]
-    result = GenSetResult(
-        elements=tuple(obj["elements"]),
-        method=obj["method"],
-        coverage={int(k): v for k, v in obj["coverage"].items()},
-        n_used=obj["n_used"],
-        asymptotic_violation=obj["asymptotic_violation"],
-        certificate=None if cert is None else (cert["g"], cert["order"]),
-        exact=obj["exact"],
-    )
-    return obj["p"], result
-
-
-def anatomy_json(record: AnatomyRecord, bounds: dict[float, float]) -> str:
-    obj = {
-        "n": record.n,
-        "omega": record.omega,
-        "omega_l": {format(l, "g"): v for l, v in sorted(record.omega_l.items())},
-        "thresholds": {format(l, "g"): v for l, v in sorted(record.thresholds.items())},
-        "bounds": {format(l, "g"): v for l, v in sorted(bounds.items())},
-    }
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def read_anatomy_json(text: str) -> AnatomyRecord:
-    obj = json.loads(text)
-    return AnatomyRecord(
-        n=obj["n"],
-        omega=obj["omega"],
-        omega_l={float(k): v for k, v in obj["omega_l"].items()},
-        thresholds={float(k): v for k, v in obj["thresholds"].items()},
-    )
-
-
-def dyadic_json(schedule: DyadicSchedule) -> str:
-    obj = {
-        "p": schedule.p,
-        "levels": list(schedule.levels),
-        "n_levels": schedule.n_levels,
-        "degenerate": schedule.degenerate,
-    }
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def read_dyadic_json(text: str) -> DyadicSchedule:
-    obj = json.loads(text)
-    return DyadicSchedule(
-        p=obj["p"],
-        levels=tuple(obj["levels"]),
-        n_levels=obj["n_levels"],
-        degenerate=obj["degenerate"],
-    )
-
-
-def sieve_report_json(report: SieveReport) -> str:
-    fields = (
-        "x", "u", "v", "epsilon", "psi", "expected", "hypothesis_sum",
-        "hypothesis_holds", "a_v_reference", "conclusion_ratio", "v_in_window",
-    )
-    return json.dumps({f: getattr(report, f) for f in fields}, indent=2) + "\n"
-
-
-def read_sieve_report_json(text: str) -> SieveReport:
-    return SieveReport(**json.loads(text))
+    """The genset --format json document: p, then the fields of result."""
+    return to_json(result, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +209,9 @@ def _cmd_survey(parser, args) -> int:
     )
     print(f"surveyed {len(rows)} primes in [{args.min}, {args.max}]", file=sys.stderr)
     if args.format == "csv":
-        _emit(survey_csv(rows), args.output)
+        _emit(to_csv(rows), args.output)
     elif args.format == "json":
-        _emit(survey_json(rows), args.output)
+        _emit(to_json(rows), args.output)
     else:
         ls = sorted(args.l)
         head = f"{'p':>9} {'omega':>5} " + " ".join(f"w_l({format(l,'g')})" for l in ls)
@@ -320,14 +228,11 @@ def _cmd_survey(parser, args) -> int:
 def _cmd_density(parser, args) -> int:
     if args.x < 3:
         parser.error("--x must be >= 3")
-    for l in args.l:
-        if l < 1:
-            parser.error("every l must be >= 1")
     rows = density_experiment(args.x, args.l)
     if args.format == "csv":
-        _emit(density_csv(rows), args.output)
+        _emit(to_csv(rows), args.output)
     elif args.format == "json":
-        _emit(density_json(rows), args.output)
+        _emit(to_json(rows), args.output)
     else:
         lines = [
             f"{'l':>6} {'threshold':>12} {'mean':>10} {'lnlnT+M':>10} {'ratio':>8} {'sum 1/(q-1)':>12} {'ratio':>8} {'degen':>5}"
@@ -361,7 +266,7 @@ def _cmd_sieve(parser, args) -> int:
         parser.error("need u <= v")
     report = sieve_bound_check(spec, args.u, args.v_param, args.epsilon)
     if args.format == "json":
-        _emit(sieve_report_json(report), args.output)
+        _emit(to_json(report), args.output)
         return 0
     lines = [
         f"x = {report.x}  u = {format(report.u,'g')}  v = {format(report.v,'g')}  epsilon = {format(report.epsilon,'g')}",
@@ -375,15 +280,12 @@ def _cmd_sieve(parser, args) -> int:
 
 
 def _cmd_anatomy(parser, args) -> int:
-    for l in args.l:
-        if l < 1:
-            parser.error("every l must be >= 1")
     if args.dyadic is not None:
         if args.dyadic < 17:
             parser.error("--dyadic requires p >= 17")
         schedule = dyadic_schedule(args.dyadic)
         if args.format == "json":
-            _emit(dyadic_json(schedule), args.output)
+            _emit(to_json(schedule), args.output)
         else:
             if schedule.degenerate:
                 _emit(f"p = {schedule.p}: schedule degenerate (iterated logs too small)", args.output)
@@ -394,18 +296,14 @@ def _cmd_anatomy(parser, args) -> int:
     if args.n < 1:
         parser.error("--n must be >= 1")
     record = anatomy_record(args.n, args.l)
-    bounds = {
-        l: bound_general(record.omega, record.omega_l[l], l) if l > 1 else math.nan
-        for l in record.omega_l
-    }
     if args.format == "json":
-        _emit(anatomy_json(record, bounds), args.output)
+        _emit(to_json(record), args.output)
         return 0
     lines = [f"n = {record.n}  omega = {record.omega}"]
     for l in sorted(record.omega_l):
         lines.append(
             f"l = {format(l,'g')}: threshold = {record.thresholds[l]:.6g}, "
-            f"omega_l = {record.omega_l[l]}, bound = {bounds[l]:.6g}"
+            f"omega_l = {record.omega_l[l]}, bound = {record.bounds[l]:.6g}"
         )
     _emit("\n".join(lines), args.output)
     return 0

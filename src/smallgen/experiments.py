@@ -7,17 +7,16 @@ formatting, making output bytes independent of the parallelism degree.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+import dataclasses
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .anatomy import anatomy_record, bound_general
+from .anatomy import anatomy_record
+from .codec import from_csv, to_csv
 from .genset import (
     SearchPolicy,
     candidate_table,
@@ -25,7 +24,7 @@ from .genset import (
     exact_min_generating_set,
     greedy_block_generating_set,
 )
-from .modcore import factorize, field_spec
+from .modcore import field_spec
 from .sievelab import ResourceLimitError, prime_flags, primes_upto
 
 # Meissel-Mertens constant: sum_{p<=T} 1/p = ln ln T + M + o(1).
@@ -50,7 +49,7 @@ class SurveyRow:
     h_elementary: int
     n_used: int
     asymptotic_violation: bool
-    bounds: dict[float, float]
+    bounds: dict[float, float] = dataclasses.field(metadata={"csv": "bound"})
     exact_elements: tuple[int, ...]
     greedy_elements: tuple[int, ...]
     elementary_elements: tuple[int, ...]
@@ -79,28 +78,20 @@ def survey_row(p: int, l_values=(2.0, 3.0), policy: SearchPolicy = SearchPolicy(
     exact = exact_min_generating_set(table)
     greedy = greedy_block_generating_set(table)
     elementary = elementary_generating_set(table)
-    bounds = {
-        l: bound_general(record.omega, record.omega_l[l], l) if l > 1 else math.nan
-        for l in record.omega_l
-    }
     return SurveyRow(
         p=p,
         omega=record.omega,
-        omega_l=dict(record.omega_l),
+        omega_l=record.omega_l,
         h_exact=len(exact.elements),
         h_greedy=len(greedy.elements),
         h_elementary=len(elementary.elements),
         n_used=table.radius,
         asymptotic_violation=exact.asymptotic_violation,
-        bounds=bounds,
+        bounds=record.bounds,
         exact_elements=exact.elements,
         greedy_elements=greedy.elements,
         elementary_elements=elementary.elements,
     )
-
-
-def _survey_worker(p: int, l_values, policy: SearchPolicy) -> SurveyRow:
-    return survey_row(p, l_values, policy)
 
 
 def survey(
@@ -133,7 +124,7 @@ def survey(
             raise ValueError(f"sample must be >= 1, got {sample}")
         stride = math.ceil(len(primes) / sample)
         primes = primes[::stride]
-    worker = partial(_survey_worker, l_values=l_values, policy=policy)
+    worker = partial(survey_row, l_values=l_values, policy=policy)
     if threads > 1:
         chunk = max(1, len(primes) // (threads * 8))
         with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -203,20 +194,6 @@ def density_experiment(x: int, l_values) -> list[DensityRow]:
     return rows
 
 
-def density_mean_by_factorization(x: int, l: float) -> float:
-    """Independent slow path for the density mean: factorize each p-1 directly."""
-    if x > DENSITY_LIMIT:
-        raise ResourceLimitError(f"density experiment capped at x={DENSITY_LIMIT:.0e}")
-    power_log = l * math.log(l) if l > 0 else 0.0
-    threshold = math.inf if power_log > 700.0 else math.log(x) * l**l
-    primes = [int(p) for p in primes_upto(x)]
-    total = 0
-    for p in primes:
-        if p > 2:  # p = 2 has p-1 = 1, no divisors
-            total += sum(1 for q, _ in factorize(p - 1) if q <= threshold)
-    return total / len(primes)
-
-
 def quantile_report(rows, statistic: str, quantiles, l: float | None = None):
     """Exact order statistics of one survey column (nearest-rank convention)."""
     if not rows:
@@ -242,189 +219,7 @@ def quantile_report(rows, statistic: str, quantiles, l: float | None = None):
     return out
 
 
-# ---------------------------------------------------------------------------
-# Persistence: RFC-4180 CSV and JSON, byte-deterministic
-# ---------------------------------------------------------------------------
-
-
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return format(v, ".12g")
-    return str(v)
-
-
-def _fmt_l(l: float) -> str:
-    return format(l, "g")
-
-
-def _survey_header(l_values) -> list[str]:
-    head = ["p", "omega"]
-    head += [f"omega_l_{_fmt_l(l)}" for l in l_values]
-    head += ["h_exact", "h_greedy", "h_elementary", "n_used", "asymptotic_violation"]
-    head += [f"bound_{_fmt_l(l)}" for l in l_values]
-    head += ["exact_elements", "greedy_elements", "elementary_elements"]
-    return head
-
-
-def _survey_record(row: SurveyRow, l_values) -> list[str]:
-    rec = [str(row.p), str(row.omega)]
-    rec += [str(row.omega_l[l]) for l in l_values]
-    rec += [
-        str(row.h_exact),
-        str(row.h_greedy),
-        str(row.h_elementary),
-        str(row.n_used),
-        _fmt(row.asymptotic_violation),
-    ]
-    rec += [_fmt(row.bounds[l]) for l in l_values]
-    rec += [
-        ";".join(map(str, row.exact_elements)),
-        ";".join(map(str, row.greedy_elements)),
-        ";".join(map(str, row.elementary_elements)),
-    ]
-    return rec
-
-
-def survey_csv(rows) -> str:
-    """Render survey rows as an RFC-4180 CSV document (CRLF, header row)."""
-    if not rows:
-        return ""
-    l_values = sorted(rows[0].omega_l)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(_survey_header(l_values))
-    for row in rows:
-        writer.writerow(_survey_record(row, l_values))
-    return buf.getvalue()
-
-
-def survey_json(rows) -> str:
-    out = []
-    for r in rows:
-        out.append(
-            {
-                "p": r.p,
-                "omega": r.omega,
-                "omega_l": {_fmt_l(l): v for l, v in sorted(r.omega_l.items())},
-                "h_exact": r.h_exact,
-                "h_greedy": r.h_greedy,
-                "h_elementary": r.h_elementary,
-                "n_used": r.n_used,
-                "asymptotic_violation": r.asymptotic_violation,
-                "bounds": {_fmt_l(l): v for l, v in sorted(r.bounds.items())},
-                "exact_elements": list(r.exact_elements),
-                "greedy_elements": list(r.greedy_elements),
-                "elementary_elements": list(r.elementary_elements),
-            }
-        )
-    return json.dumps(out, indent=2, allow_nan=True) + "\n"
-
-
-def read_survey_csv(text: str) -> list[SurveyRow]:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        return []
-    omega_cols = [(i, float(h.removeprefix("omega_l_"))) for i, h in enumerate(header) if h.startswith("omega_l_")]
-    bound_cols = [(i, float(h.removeprefix("bound_"))) for i, h in enumerate(header) if h.startswith("bound_")]
-    col = {h: i for i, h in enumerate(header)}
-    rows = []
-    for rec in reader:
-        rows.append(
-            SurveyRow(
-                p=int(rec[col["p"]]),
-                omega=int(rec[col["omega"]]),
-                omega_l={l: int(rec[i]) for i, l in omega_cols},
-                h_exact=int(rec[col["h_exact"]]),
-                h_greedy=int(rec[col["h_greedy"]]),
-                h_elementary=int(rec[col["h_elementary"]]),
-                n_used=int(rec[col["n_used"]]),
-                asymptotic_violation=rec[col["asymptotic_violation"]] == "true",
-                bounds={l: float(rec[i]) for i, l in bound_cols},
-                exact_elements=tuple(int(v) for v in rec[col["exact_elements"]].split(";")),
-                greedy_elements=tuple(int(v) for v in rec[col["greedy_elements"]].split(";")),
-                elementary_elements=tuple(int(v) for v in rec[col["elementary_elements"]].split(";")),
-            )
-        )
-    return rows
-
-
-def read_survey_json(text: str) -> list[SurveyRow]:
-    rows = []
-    for obj in json.loads(text):
-        rows.append(
-            SurveyRow(
-                p=obj["p"],
-                omega=obj["omega"],
-                omega_l={float(k): v for k, v in obj["omega_l"].items()},
-                h_exact=obj["h_exact"],
-                h_greedy=obj["h_greedy"],
-                h_elementary=obj["h_elementary"],
-                n_used=obj["n_used"],
-                asymptotic_violation=obj["asymptotic_violation"],
-                bounds={float(k): v for k, v in obj["bounds"].items()},
-                exact_elements=tuple(obj["exact_elements"]),
-                greedy_elements=tuple(obj["greedy_elements"]),
-                elementary_elements=tuple(obj["elementary_elements"]),
-            )
-        )
-    return rows
-
-
-_DENSITY_FIELDS = (
-    "x",
-    "l",
-    "threshold",
-    "empirical_mean",
-    "prediction",
-    "ratio",
-    "prediction_harmonic",
-    "ratio_harmonic",
-    "degenerate",
-)
-
-
-def density_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(_DENSITY_FIELDS)
-    for r in rows:
-        writer.writerow([_fmt(getattr(r, f)) for f in _DENSITY_FIELDS])
-    return buf.getvalue()
-
-
-def density_json(rows) -> str:
-    out = [{f: getattr(r, f) for f in _DENSITY_FIELDS} for r in rows]
-    return json.dumps(out, indent=2, allow_nan=True) + "\n"
-
-
-def read_density_csv(text: str) -> list[DensityRow]:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        return []
-    col = {h: i for i, h in enumerate(header)}
-    rows = []
-    for rec in reader:
-        rows.append(
-            DensityRow(
-                x=int(rec[col["x"]]),
-                l=float(rec[col["l"]]),
-                threshold=float(rec[col["threshold"]]),
-                empirical_mean=float(rec[col["empirical_mean"]]),
-                prediction=float(rec[col["prediction"]]),
-                ratio=float(rec[col["ratio"]]),
-                prediction_harmonic=float(rec[col["prediction_harmonic"]]),
-                ratio_harmonic=float(rec[col["ratio_harmonic"]]),
-                degenerate=rec[col["degenerate"]] == "true",
-            )
-        )
-    return rows
-
-
-def read_density_json(text: str) -> list[DensityRow]:
-    return [DensityRow(**obj) for obj in json.loads(text)]
+# perfbench times the CSV formats by these names, so each is its own object.
+survey_csv = partial(to_csv)
+read_survey_csv = partial(from_csv, SurveyRow)
+density_csv = partial(to_csv)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .modcore import FieldSpec, multiplicative_order, residue_signature
 
@@ -56,6 +57,13 @@ class SearchPolicy:
         return p - 1 if self.hard_cap is None else self.hard_cap
 
 
+class Certificate(NamedTuple):
+    """An element g of F_p* and its multiplicative order; order p-1 makes g a primitive root."""
+
+    g: int
+    order: int
+
+
 @dataclass(frozen=True)
 class GenSetResult:
     """A generating set with its coverage map and primitive-root certificate.
@@ -66,12 +74,12 @@ class GenSetResult:
     cardinality was proven.
     """
 
-    elements: tuple[int, ...]
     method: str
+    elements: tuple[int, ...]
     coverage: dict[int, int]
     n_used: int = 0
     asymptotic_violation: bool = False
-    certificate: tuple[int, int] | None = None
+    certificate: Certificate | None = None
     exact: bool = False
 
 
@@ -80,7 +88,7 @@ def generates(elements, field: FieldSpec) -> bool:
     full = (1 << field.r) - 1
     union = 0
     for n in elements:
-        union |= residue_signature(n, field).nonresidue_mask
+        union |= residue_signature(n, field)
         if union == full:
             return True
     return union == full
@@ -90,7 +98,7 @@ def generates(elements, field: FieldSpec) -> bool:
 class CandidateTable:
     """Non-residue masks of the candidates n in [2, stop] for one field.
 
-    masks maps n to its nonresidue_mask, keys ascending.  stop is the first
+    masks maps n to its residue_signature, keys ascending.  stop is the first
     n with a full mask (the smallest primitive root) if the scan meets one,
     else min(radius, p - 1).  radius is where the doubling stopped because
     the masks jointly cover every divisor index, and initial is the policy's
@@ -156,10 +164,10 @@ def _result(table: CandidateTable, method: str, picks, exact: bool = False) -> G
     coverage = {i: next(n for n in picks if masks[n] >> i & 1) for i in range(field.r)}
     primitive = next((n for n in elements if masks[n] == full), None)
     if primitive is not None:
-        certificate = (primitive, field.p - 1)
+        certificate = Certificate(primitive, field.p - 1)
     else:
         g = _combine(coverage, field)
-        certificate = (g, multiplicative_order(g, field))
+        certificate = Certificate(g, multiplicative_order(g, field))
     return GenSetResult(
         elements=elements,
         method=method,
@@ -192,7 +200,7 @@ def combine_primitive_root(result: GenSetResult, field: FieldSpec) -> int:
         raise ValueError("combine_primitive_root requires a generating set")
     coverage = dict(result.coverage)
     for i in range(field.r):
-        if i not in coverage or not residue_signature(coverage[i], field).covers(i):
+        if i not in coverage or not residue_signature(coverage[i], field) >> i & 1:
             raise ValueError(f"coverage map does not cover divisor index {i}")
     return _combine(coverage, field)
 

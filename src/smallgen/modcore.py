@@ -124,10 +124,6 @@ class FieldSpec:
         if prod != self.p - 1:
             raise ValueError("divisors do not reconstruct p - 1")
 
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(q for q, _ in self.divisors)
-
 
 def field_spec(p: int) -> FieldSpec:
     """Build the FieldSpec for an odd prime p by factorizing p-1."""
@@ -137,26 +133,6 @@ def field_spec(p: int) -> FieldSpec:
     return FieldSpec(p=p, divisors=divisors, r=len(divisors))
 
 
-@dataclass(frozen=True)
-class ResidueSignature:
-    """Which prime divisors q of p-1 see n as a q-th power NON-residue.
-
-    Bit i of nonresidue_mask is set iff n**((p-1)/q_i) != 1 mod p.  The
-    identity element has the all-zero mask.
-    """
-
-    n: int
-    nonresidue_mask: int
-    width: int
-
-    def covers(self, index: int) -> bool:
-        return bool(self.nonresidue_mask >> index & 1)
-
-    @property
-    def is_full(self) -> bool:
-        return self.nonresidue_mask == (1 << self.width) - 1
-
-
 def _reduce_to_group(n: int, p: int) -> int:
     m = n % p
     if m == 0:
@@ -164,15 +140,18 @@ def _reduce_to_group(n: int, p: int) -> int:
     return m
 
 
-def residue_signature(n: int, field: FieldSpec) -> ResidueSignature:
-    """Non-residue mask of n: bit i set iff n is not a q_i-th power mod p."""
+def residue_signature(n: int, field: FieldSpec) -> int:
+    """Non-residue mask of n: bit i set iff n is not a q_i-th power mod p.
+
+    The identity has mask 0; a primitive root has all r bits set.
+    """
     p = field.p
     m = _reduce_to_group(n, p)
     mask = 0
     for i, (q, _) in enumerate(field.divisors):
         if pow(m, (p - 1) // q, p) != 1:
             mask |= 1 << i
-    return ResidueSignature(n=n, nonresidue_mask=mask, width=field.r)
+    return mask
 
 
 def multiplicative_order(n: int, field: FieldSpec) -> int:
@@ -187,8 +166,3 @@ def multiplicative_order(n: int, field: FieldSpec) -> int:
             else:
                 break
     return d
-
-
-def is_primitive_root(n: int, field: FieldSpec) -> bool:
-    """True iff n generates all of F_p* (all non-residue bits set)."""
-    return residue_signature(n, field).is_full

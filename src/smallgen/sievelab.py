@@ -275,6 +275,9 @@ def sieve_bound_check(spec: PrimeSetSpec, u: float, v: float, epsilon: float) ->
     if u > v:
         raise ValueError(f"need u <= v, got u={u} v={v}")
     x = spec.x
+    if x > PSI_LIMIT:
+        # Before mertens_sum, whose realize() would sieve to x**(1/u) first.
+        raise ResourceLimitError(f"psi_count is exact only up to x={PSI_LIMIT:.0e}")
     lo = x ** (1.0 / v)
     hi = x ** (1.0 / u)
     hyp = mertens_sum(spec, lo, hi)

@@ -8,12 +8,18 @@ from smallgen.anatomy import (
     bound_general,
     bound_iterated,
     dyadic_schedule,
-    omega,
-    omega_l,
     smallness_threshold,
     _iterated_log,
 )
 from smallgen.modcore import factorize
+
+
+def omega(n):
+    return anatomy_record(n, []).omega
+
+
+def omega_l(n, l):
+    return anatomy_record(n, [l]).omega_l[float(l)]
 
 
 def test_omega_examples():
@@ -59,6 +65,9 @@ def test_anatomy_record():
     assert rec.omega == 6
     assert rec.omega_l[1.0] <= rec.omega_l[2.0] <= rec.omega_l[3.0] <= rec.omega
     assert rec.thresholds[2.0] == smallness_threshold(720720, 2.0)
+    assert math.isnan(rec.bounds[1.0])  # ln 1 = 0: no bound shape at l = 1
+    for l in (2.0, 3.0):
+        assert rec.bounds[l] == bound_general(rec.omega, rec.omega_l[l], l)
 
 
 # ---------------------------------------------------------------------------

@@ -3,25 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from smallgen.codec import from_csv, from_json, to_json
 from smallgen.experiments import (
     MEISSEL_MERTENS,
+    DensityRow,
+    SurveyRow,
     density_csv,
     density_experiment,
-    density_json,
-    density_mean_by_factorization,
     quantile_report,
-    read_density_csv,
-    read_density_json,
-    read_survey_csv,
-    read_survey_json,
     survey,
     survey_csv,
-    survey_json,
     survey_row,
 )
 from smallgen import anatomy, experiments, genset, modcore
 from smallgen.genset import generates
-from smallgen.modcore import field_spec
+from smallgen.modcore import factorize, field_spec
 from smallgen.sievelab import ResourceLimitError, primes_upto
 
 
@@ -122,7 +118,7 @@ def test_survey_row_factorizes_once(monkeypatch):
         factored.append(n)
         return factorize(n)
 
-    for module in (modcore, anatomy, experiments):
+    for module in (modcore, anatomy):
         monkeypatch.setattr(module, "factorize", counting_factorize)
     primes = [7, 41, 577, 10007, 8608456956238879741]
     rows = [survey_row(p) for p in primes]
@@ -145,7 +141,7 @@ def test_survey_csv_shape(rows_50):
 
 
 def test_survey_csv_round_trip(rows_50):
-    back = read_survey_csv(survey_csv(rows_50))
+    back = from_csv(SurveyRow, survey_csv(rows_50))
     for a, b in zip(rows_50, back):
         assert (a.p, a.omega, a.omega_l, a.h_exact, a.h_greedy, a.h_elementary) == (
             b.p,
@@ -164,11 +160,11 @@ def test_survey_csv_round_trip(rows_50):
 
 
 def test_survey_json_round_trip_exact(rows_50):
-    assert read_survey_json(survey_json(rows_50)) == rows_50
+    assert from_json(SurveyRow, to_json(rows_50)) == rows_50
 
 
 def test_loaded_rows_reverify(rows_50):
-    back = read_survey_csv(survey_csv(rows_50))
+    back = from_csv(SurveyRow, survey_csv(rows_50))
     for r in back:
         f = field_spec(r.p)
         for elements in (r.exact_elements, r.greedy_elements, r.elementary_elements):
@@ -183,6 +179,18 @@ def test_csv_deterministic(rows_50):
 # ---------------------------------------------------------------------------
 # density experiment
 # ---------------------------------------------------------------------------
+
+
+def density_mean_by_factorization(x, l):
+    """Independent slow path for the density mean: factorize each p-1 directly."""
+    power_log = l * math.log(l) if l > 0 else 0.0
+    threshold = math.inf if power_log > 700.0 else math.log(x) * l**l
+    primes = [int(p) for p in primes_upto(x)]
+    total = 0
+    for p in primes:
+        if p > 2:  # p = 2 has p-1 = 1, no divisors
+            total += sum(1 for q, _ in factorize(p - 1) if q <= threshold)
+    return total / len(primes)
 
 
 def test_density_cross_check_exact():
@@ -224,11 +232,11 @@ def test_density_validation():
 
 def test_density_round_trips():
     rows = density_experiment(10**4, [1.0, 2.0, 3.0])
-    back_csv = read_density_csv(density_csv(rows))
+    back_csv = from_csv(DensityRow, density_csv(rows))
     for a, b in zip(rows, back_csv):
         assert a.x == b.x and a.l == b.l and a.degenerate == b.degenerate
         assert math.isclose(a.empirical_mean, b.empirical_mean, rel_tol=1e-11)
-    assert read_density_json(density_json(rows)) == rows
+    assert from_json(DensityRow, to_json(rows)) == rows
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,7 @@ def test_candidate_table_matches_pow_scan(p, hard_cap, expand):
     while True:
         union = 0
         for n in range(2, min(radius, p - 1) + 1):
-            union |= residue_signature(n, f).nonresidue_mask
+            union |= residue_signature(n, f)
         if union == full or radius >= policy.cap(p) or not expand:
             break
         radius = min(2 * radius, policy.cap(p))
@@ -117,19 +117,19 @@ def test_candidate_table_matches_pow_scan(p, hard_cap, expand):
         with pytest.raises(InfeasibleCoverError) as err:
             candidate_table(f, policy)
         assert err.value.radius == radius
-        assert err.value.uncovered == tuple(q for i, q in enumerate(f.primes) if not union >> i & 1)
+        assert err.value.uncovered == tuple(q for i, (q, _) in enumerate(f.divisors) if not union >> i & 1)
         with pytest.raises(InfeasibleCoverError):
             survey_row(p, policy=policy)
         return
     # The table stops at the first primitive root, if the scan meets one.
     top = min(radius, p - 1)
-    stop = next((n for n in range(2, top + 1) if residue_signature(n, f).is_full), top)
+    stop = next((n for n in range(2, top + 1) if residue_signature(n, f) == full), top)
     table = candidate_table(f, policy)
     assert table.radius == radius
     assert table.initial == policy.initial_radius(p)
     assert list(table.masks) == list(range(2, stop + 1))
     for n, mask in table.masks.items():
-        assert mask == residue_signature(n, f).nonresidue_mask
+        assert mask == residue_signature(n, f)
     assert survey_row(p, policy=policy).n_used == table.radius
 
 
@@ -301,8 +301,8 @@ def test_certificates_sound(method_results):
             g, order = r.certificate
             assert order == f.p - 1
             assert multiplicative_order(g, f) == f.p - 1
-            sig = residue_signature(g, f)
-            assert sig.is_full  # g is a q-th non-residue for every divisor
+            # g is a q-th non-residue for every divisor
+            assert residue_signature(g, f) == (1 << f.r) - 1
 
 
 def test_combine_sound_even_without_primitive_element(method_results):
@@ -329,7 +329,7 @@ def test_coverage_map_is_consistent(p):
         assert sorted(r.coverage) == list(range(f.r))
         for i, n in r.coverage.items():
             assert n in r.elements
-            assert residue_signature(n, f).covers(i)
+            assert residue_signature(n, f) >> i & 1
 
 
 # sha256 of cli.genset_result_json(p, result) per method.  Coverage maps and
@@ -402,7 +402,7 @@ def test_early_exit_matches_full_scan():
             except InfeasibleCoverError:
                 continue  # the raise is checked against the pow-scan above
             top = min(table.radius, f.p - 1)
-            masks = {n: residue_signature(n, f).nonresidue_mask for n in range(2, top + 1)}
+            masks = {n: residue_signature(n, f) for n in range(2, top + 1)}
             full = CandidateTable(f, table.radius, table.initial, masks)
             stopped_early += len(table.masks) < len(masks)
             for name, construct in constructions.items():

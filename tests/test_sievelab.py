@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smallgen import sievelab
+from smallgen.cli import run
 from smallgen.modcore import field_spec, is_prime
 from smallgen.sievelab import (
     PrimeSetSpec,
@@ -296,6 +298,24 @@ def test_sieve_bound_check_validation():
         sieve_bound_check(spec, 3.0, 2.0, 0.1)
     with pytest.raises(ValueError):
         sieve_bound_check(spec, 0.5, 2.0, 0.1)
+
+
+def test_sieve_bound_check_caps_before_sieving(monkeypatch, capsys):
+    # Past PSI_LIMIT the check must refuse before realize() sieves to x**(1/u):
+    # 1e12 for x = 1e12, u = 1, and 1e9 for x = 1e18, u = 2.
+    sieved = []
+
+    def no_sieve(limit):
+        sieved.append(limit)
+        raise AssertionError(f"primes_upto({limit}) called past the cap")
+
+    monkeypatch.setattr(sievelab, "primes_upto", no_sieve)
+    for x, u, v in ((10**12, 1.0, 2.0), (10**18, 2.0, 10.0)):
+        with pytest.raises(ResourceLimitError):
+            sieve_bound_check(PrimeSetSpec.threshold(x, u), u, v, 0.1)
+        assert run(["sieve", "check", "--x", str(x), "--u", str(u), "--v", str(v)]) == 1
+    assert sieved == []
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_hypothesis_sum_is_plain_mertens_sum():
