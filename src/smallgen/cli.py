@@ -1,8 +1,10 @@
 """Command-line front door: genset, survey, density, sieve, anatomy.
 
 Data goes to stdout (or --output), diagnostics to stderr.  Exit codes:
-0 success, 2 usage error, 1 infeasibility or resource-cap error.  The csv and
-json formats are stable contracts; pretty output is for humans only.
+0 success; 2 an input outside the domain, either an argparse usage error or a
+ValueError from the library, which checks each input once; 1 infeasibility or
+a resource cap.  The csv and json formats are stable contracts; pretty output
+is for humans only.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 import os
 import sys
 
-from .anatomy import anatomy_record, dyadic_schedule
+from .anatomy import _check_l, anatomy_record, dyadic_schedule
 from .codec import to_csv, to_json
 from .experiments import density_experiment, survey
 from .genset import (
@@ -24,7 +26,7 @@ from .genset import (
     exact_min_generating_set,
     greedy_block_generating_set,
 )
-from .modcore import field_spec, is_prime
+from .modcore import field_spec
 from .sievelab import (
     PrimeSetSpec,
     ResourceLimitError,
@@ -41,12 +43,9 @@ _METHODS = {
 
 def _parse_l_list(text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(v) for v in text.split(","))
+        return tuple(float(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad l list {text!r}")
-    if not all(v >= 1 for v in values):
-        raise argparse.ArgumentTypeError(f"every l must be >= 1, got {text!r}")
-    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -135,10 +134,7 @@ def _parse_pset(parser, args) -> PrimeSetSpec:
             primes = [int(v) for v in text.removeprefix("explicit:").split(",")]
         except ValueError:
             parser.error(f"bad explicit prime list in {text!r}")
-        try:
-            return PrimeSetSpec.explicit(args.x, primes)
-        except ValueError as exc:
-            parser.error(str(exc))
+        return PrimeSetSpec.explicit(args.x, primes)
     if text.startswith("residue:"):
         body = text.removeprefix("residue:").split(",")
         if len(body) != 2:
@@ -147,20 +143,11 @@ def _parse_pset(parser, args) -> PrimeSetSpec:
             p, index = int(body[0]), int(body[1])
         except ValueError:
             parser.error(f"bad residue pset {text!r}")
-        if not is_prime(p) or p < 3:
-            parser.error(f"residue pset modulus {p} is not an odd prime")
-        try:
-            return PrimeSetSpec.residue(args.x, field_spec(p), index)
-        except ValueError as exc:
-            parser.error(str(exc))
+        return PrimeSetSpec.residue(args.x, field_spec(p), index)
     parser.error(f"unknown pset {text!r}")
 
 
 def _cmd_genset(parser, args) -> int:
-    if args.p < 3 or not is_prime(args.p):
-        parser.error(f"--p must be an odd prime, got {args.p}")
-    if args.epsilon <= 0:
-        parser.error("--epsilon must be positive")
     field = field_spec(args.p)
     policy = SearchPolicy(
         epsilon=args.epsilon,
@@ -190,15 +177,7 @@ def _cmd_genset(parser, args) -> int:
 
 
 def _cmd_survey(parser, args) -> int:
-    if args.min < 3:
-        parser.error("--min must be >= 3")
-    if args.epsilon <= 0:
-        parser.error("--epsilon must be positive")
-    if args.sample is not None and args.sample < 1:
-        parser.error("--sample must be >= 1")
     threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    if threads < 1:
-        parser.error("--threads must be >= 1")
     rows = survey(
         args.min,
         args.max,
@@ -226,8 +205,6 @@ def _cmd_survey(parser, args) -> int:
 
 
 def _cmd_density(parser, args) -> int:
-    if args.x < 3:
-        parser.error("--x must be >= 3")
     rows = density_experiment(args.x, args.l)
     if args.format == "csv":
         _emit(to_csv(rows), args.output)
@@ -248,12 +225,10 @@ def _cmd_density(parser, args) -> int:
 
 
 def _cmd_sieve(parser, args) -> int:
-    if args.x < 1:
-        parser.error("--x must be >= 1")
-    if args.u is not None and args.u < 1:
-        parser.error("--u must be >= 1")
     spec = _parse_pset(parser, args)
     if args.action == "psi":
+        if spec.kind != "threshold" and args.u is not None and args.u < 1:
+            parser.error(f"--u must be >= 1, got {args.u}")  # no library call sees u here
         value = psi_count(spec)
         if args.format == "json":
             _emit(json.dumps({"x": args.x, "psi": value}) + "\n", args.output)
@@ -262,8 +237,6 @@ def _cmd_sieve(parser, args) -> int:
         return 0
     if args.u is None or args.v_param is None:
         parser.error("sieve check requires --u and --v")
-    if args.u > args.v_param:
-        parser.error("need u <= v")
     report = sieve_bound_check(spec, args.u, args.v_param, args.epsilon)
     if args.format == "json":
         _emit(to_json(report), args.output)
@@ -281,8 +254,8 @@ def _cmd_sieve(parser, args) -> int:
 
 def _cmd_anatomy(parser, args) -> int:
     if args.dyadic is not None:
-        if args.dyadic < 17:
-            parser.error("--dyadic requires p >= 17")
+        for l in args.l:  # the schedule ignores l, so no library call checks it
+            _check_l(l)
         schedule = dyadic_schedule(args.dyadic)
         if args.format == "json":
             _emit(to_json(schedule), args.output)
@@ -293,8 +266,6 @@ def _cmd_anatomy(parser, args) -> int:
                 levels = ", ".join(f"{v:.6g}" for v in schedule.levels)
                 _emit(f"p = {schedule.p}: N = {schedule.n_levels}, levels = [{levels}]", args.output)
         return 0
-    if args.n < 1:
-        parser.error("--n must be >= 1")
     record = anatomy_record(args.n, args.l)
     if args.format == "json":
         _emit(to_json(record), args.output)
@@ -331,7 +302,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     except (InfeasibleCoverError, ResourceLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 def main() -> None:

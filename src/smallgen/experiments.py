@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .anatomy import anatomy_record
+from .anatomy import _check_l, anatomy_record, smallness_threshold
 from .codec import from_csv, to_csv
 from .genset import (
     SearchPolicy,
@@ -110,7 +110,13 @@ def survey(
     """
     if p_min < 3:
         raise ValueError(f"p_min must be >= 3, got {p_min}")
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample must be >= 1, got {sample}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     l_values = tuple(float(l) for l in l_values)
+    for l in l_values:
+        _check_l(l)
     if p_max < p_min:
         return []
     if p_max > DENSITY_LIMIT:
@@ -120,8 +126,6 @@ def survey(
     if not primes:
         return []
     if sample is not None:
-        if sample < 1:
-            raise ValueError(f"sample must be >= 1, got {sample}")
         stride = math.ceil(len(primes) / sample)
         primes = primes[::stride]
     worker = partial(survey_row, l_values=l_values, policy=policy)
@@ -146,15 +150,12 @@ def density_experiment(x: int, l_values) -> list[DensityRow]:
         raise ResourceLimitError(f"density experiment capped at x={DENSITY_LIMIT:.0e}")
     if x < 3:
         raise ValueError(f"x must be >= 3, got {x}")
+    thresholds = [(l, smallness_threshold(x - 1, l)) for l in map(float, l_values)]
     flags = prime_flags(x)
     primes = np.flatnonzero(flags)
     n_primes = int(primes.size)
     rows = []
-    for l in (float(v) for v in l_values):
-        if l < 1:
-            raise ValueError(f"l must be >= 1, got {l}")
-        power_log = l * math.log(l) if l > 0 else 0.0
-        threshold = math.inf if power_log > 700.0 else math.log(x) * l**l
+    for l, threshold in thresholds:
         if threshold < 2:
             rows.append(
                 DensityRow(

@@ -65,9 +65,13 @@ def _pollard_rho(n: int) -> int:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Complete factorization of n as [(prime, multiplicity), ...], primes increasing."""
-    if n <= 0:
-        raise ValueError(f"factorize requires n >= 1, got {n}")
+    """Complete factorization of n as [(prime, multiplicity), ...], primes increasing.
+
+    n >= 2**63 is refused up front: rho takes ~q**0.5 steps for the smallest
+    prime q of the cofactor, minutes at q ~ 2**60.
+    """
+    if not 1 <= n < MAX_PRIME:
+        raise ValueError(f"factorize requires 1 <= n < 2**63, got {n}")
     factors: dict[int, int] = {}
     while n % 2 == 0:
         factors[2] = factors.get(2, 0) + 1
@@ -95,21 +99,17 @@ def factorize(n: int) -> list[tuple[int, int]]:
 class FieldSpec:
     """An odd prime p together with the full factorization of p-1.
 
-    divisors holds (q, alpha) pairs with q strictly increasing; r is the
-    number of distinct prime divisors of p-1.
+    divisors holds (q, alpha) pairs with q strictly increasing.
     """
 
     p: int
     divisors: tuple[tuple[int, int], ...]
-    r: int
 
     def __post_init__(self):
         if not (3 <= self.p < MAX_PRIME):
             raise ValueError(f"p must satisfy 3 <= p < 2**63, got {self.p}")
         if self.p % 2 == 0 or not is_prime(self.p):
             raise ValueError(f"p must be an odd prime, got {self.p}")
-        if self.r != len(self.divisors):
-            raise ValueError("r must equal the number of divisor entries")
         prod = 1
         prev_q = 0
         for q, alpha in self.divisors:
@@ -124,13 +124,15 @@ class FieldSpec:
         if prod != self.p - 1:
             raise ValueError("divisors do not reconstruct p - 1")
 
+    @property
+    def r(self) -> int:
+        """The number of distinct prime divisors of p-1."""
+        return len(self.divisors)
+
 
 def field_spec(p: int) -> FieldSpec:
-    """Build the FieldSpec for an odd prime p by factorizing p-1."""
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime >= 3, got {p}")
-    divisors = tuple(factorize(p - 1))
-    return FieldSpec(p=p, divisors=divisors, r=len(divisors))
+    """Build the FieldSpec for an odd prime p by factorizing p-1; FieldSpec checks p."""
+    return FieldSpec(p=p, divisors=tuple(factorize(p - 1)))
 
 
 def _reduce_to_group(n: int, p: int) -> int:

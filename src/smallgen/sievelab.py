@@ -79,26 +79,24 @@ class PrimeSetSpec:
     divisor_index: int | None = None
     members: tuple[int, ...] | None = None
 
+    def __post_init__(self):
+        if self.x < 1:
+            raise ValueError(f"x must be >= 1, got {self.x}")
+
     @classmethod
     def threshold(cls, x: int, u: float) -> "PrimeSetSpec":
-        if x < 1:
-            raise ValueError(f"x must be >= 1, got {x}")
         if u < 1:
             raise ValueError(f"u must be >= 1, got {u}")
         return cls(x=x, kind="threshold", u=float(u))
 
     @classmethod
     def residue(cls, x: int, field: FieldSpec, divisor_index: int) -> "PrimeSetSpec":
-        if x < 1:
-            raise ValueError(f"x must be >= 1, got {x}")
         if not 0 <= divisor_index < field.r:
             raise ValueError(f"divisor index {divisor_index} out of range for r={field.r}")
         return cls(x=x, kind="residue", field=field, divisor_index=divisor_index)
 
     @classmethod
     def explicit(cls, x: int, primes) -> "PrimeSetSpec":
-        if x < 1:
-            raise ValueError(f"x must be >= 1, got {x}")
         members = sorted(set(int(p) for p in primes))
         for p in members:
             if not is_prime(p):

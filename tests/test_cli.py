@@ -31,6 +31,50 @@ def test_exit_codes(capsys):
     for cmd in (["survey", "--min", "3", "--max", "50"], ["density", "--x", "100"], ["anatomy", "--n", "6"]):
         assert run(cmd + ["--l", "0.5"]) == 2  # usage: every l must be >= 1
     capsys.readouterr()
+    # Inputs outside the domain exit 2, each refused by the one check that
+    # owns it, with nothing on stdout and the bad value named on stderr.
+    for argv, named in [
+        ("genset --p 13 --epsilon 0", "epsilon must be positive, got 0.0"),
+        ("genset --p 13 --hard-cap 1", "hard_cap must be >= 2, got 1"),
+        ("genset --p 13 --method exact --size-cap 0", "size_cap must be >= 1, got 0"),
+        ("survey --min 2 --max 50", "p_min must be >= 3, got 2"),
+        ("survey --min 3 --max 50 --epsilon -1", "epsilon must be positive, got -1.0"),
+        ("survey --min 3 --max 50 --sample 0", "sample must be >= 1, got 0"),
+        ("survey --min 3 --max 2 --sample 0", "sample must be >= 1, got 0"),
+        ("survey --min 3 --max 50 --threads 0", "threads must be >= 1, got 0"),
+        ("survey --min 3 --max 50 --l 201", "l must lie in [1, 200], got 201.0"),
+        ("density --x 2 --l 2", "x must be >= 3, got 2"),
+        ("density --x 100 --l 201", "l must lie in [1, 200], got 201.0"),
+        ("sieve psi --x 0 --u 2", "x must be >= 1, got 0"),
+        ("sieve psi --x 100 --u 0.5", "u must be >= 1, got 0.5"),
+        ("sieve psi --x 30 --pset explicit:2,3 --u 0.5", "--u must be >= 1, got 0.5"),
+        ("sieve check --x 100 --u 3 --v 2", "got u=3.0 v=2.0"),
+        ("sieve psi --x 100 --pset explicit:4,6", "non-prime 4"),
+        ("sieve psi --x 100 --pset residue:15,0", "odd prime, got 15"),
+        ("sieve psi --x 100 --pset residue:31,5", "divisor index 5"),
+        ("anatomy --dyadic 13", "p >= 17, got 13"),
+        ("anatomy --dyadic 17 --l 201", "l must lie in [1, 200], got 201.0"),
+        ("anatomy --n 0", "n >= 1, got 0"),
+        ("anatomy --n 6 --l 201", "l must lie in [1, 200], got 201.0"),
+    ]:
+        assert run(argv.split()) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert named in captured.err, (argv, captured.err)
+
+
+def test_huge_inputs_refused_before_factoring(monkeypatch, capsys):
+    # n = p - 1 is 2 times a 100-bit composite that rho takes about 30 s to split.
+    def no_rho(n):
+        raise AssertionError(f"rho started on {n}")
+
+    monkeypatch.setattr("smallgen.modcore._pollard_rho", no_rho)
+    n = 1315563630749409752745845609206
+    for argv in (["genset", "--p", str(n + 1)], ["anatomy", "--n", str(n)]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"got {n}" in captured.err
 
 
 def test_survey_past_sieve_cap_is_an_error(capsys):

@@ -63,6 +63,12 @@ def test_survey_validation():
         survey(2, 50)
     with pytest.raises(ValueError):
         survey(3, 50, sample=0)
+    with pytest.raises(ValueError):
+        survey(3, 2, sample=0)  # checked although the range is empty
+    with pytest.raises(ValueError):
+        survey(3, 50, threads=0)
+    with pytest.raises(ValueError):
+        survey(3, 50, l_values=(201.0,))
 
 
 def test_survey_caps_sieve_range():
@@ -228,6 +234,8 @@ def test_density_validation():
         density_experiment(2, [3.0])
     with pytest.raises(ValueError):
         density_experiment(100, [0.5])
+    with pytest.raises(ValueError):
+        density_experiment(100, [201])
 
 
 def test_density_round_trips():

@@ -56,6 +56,12 @@ def test_factorize_rejects_zero():
         factorize(0)
 
 
+def test_factorize_domain_ends_below_2_63():
+    assert factorize(2**63 - 1) == [(7, 2), (73, 1), (127, 1), (337, 1), (92737, 1), (649657, 1)]
+    with pytest.raises(ValueError):
+        factorize(2**63)
+
+
 def test_factorize_rho_path():
     n = (10**9 + 7) * (10**9 + 9)
     assert factorize(n) == [(10**9 + 7, 1), (10**9 + 9, 1)]
@@ -150,9 +156,9 @@ def test_field_spec_rejects_bad_input():
         with pytest.raises(ValueError):
             field_spec(bad)
     with pytest.raises(ValueError):
-        FieldSpec(p=7, divisors=((2, 1),), r=1)  # does not reconstruct 6
+        FieldSpec(p=7, divisors=((2, 1),))  # does not reconstruct 6
     with pytest.raises(ValueError):
-        FieldSpec(p=7, divisors=((3, 1), (2, 1)), r=2)  # not increasing
+        FieldSpec(p=7, divisors=((3, 1), (2, 1)))  # not increasing
 
 
 # ---------------------------------------------------------------------------

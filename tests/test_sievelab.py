@@ -64,6 +64,8 @@ def test_threshold_boundary_prime_included():
 def test_explicit_set_validation():
     with pytest.raises(ValueError):
         PrimeSetSpec.explicit(30, [2, 3, 4])
+    with pytest.raises(ValueError):
+        PrimeSetSpec(x=0, kind="explicit", members=())
     spec = PrimeSetSpec.explicit(30, [5, 2, 3, 101])  # 101 > x is dropped
     assert spec.realize().tolist() == [2, 3, 5]
 
