@@ -19,7 +19,6 @@ from .genset import (
     InfeasibleCoverError,
     SearchPolicy,
     candidate_table,
-    combine_primitive_root,
     elementary_generating_set,
     exact_min_generating_set,
     generates,

@@ -103,10 +103,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, output: str | None) -> None:
+    """Write text, ending in a newline, to stdout or to the file output."""
+    if not text.endswith("\n"):
+        text += "\n"
     if output is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(output, "w", newline="") as fh:
             fh.write(text)
@@ -162,16 +163,15 @@ def _cmd_genset(parser, args) -> int:
     if args.format == "json":
         _emit(genset_result_json(args.p, result), args.output)
         return 0
+    g, order = result.certificate
     lines = [
         f"p = {args.p}  (p-1 = {' * '.join(f'{q}^{a}' if a > 1 else str(q) for q, a in field.divisors)})",
         f"method = {result.method}" + ("" if result.method != "exact" else f"  (minimal: {str(result.exact).lower()})"),
         f"elements = {list(result.elements)}",
         "coverage: " + "; ".join(f"q={field.divisors[i][0]} <- {n}" for i, n in sorted(result.coverage.items())),
         f"n_used = {result.n_used}  asymptotic_violation = {str(result.asymptotic_violation).lower()}",
+        f"certificate: g = {g}, order = {order}" + ("  (= p-1)" if order == args.p - 1 else ""),
     ]
-    if result.certificate is not None:
-        g, order = result.certificate
-        lines.append(f"certificate: g = {g}, order = {order}" + ("  (= p-1)" if order == args.p - 1 else ""))
     _emit("\n".join(lines), args.output)
     return 0
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import NamedTuple
 
 from .modcore import FieldSpec, multiplicative_order, residue_signature
@@ -77,10 +78,10 @@ class GenSetResult:
     method: str
     elements: tuple[int, ...]
     coverage: dict[int, int]
-    n_used: int = 0
-    asymptotic_violation: bool = False
-    certificate: Certificate | None = None
-    exact: bool = False
+    n_used: int
+    asymptotic_violation: bool
+    certificate: Certificate
+    exact: bool
 
 
 def generates(elements, field: FieldSpec) -> bool:
@@ -180,6 +181,8 @@ def _result(table: CandidateTable, method: str, picks, exact: bool = False) -> G
 
 
 def _combine(coverage: dict[int, int], field: FieldSpec) -> int:
+    """Primitive root from one covering element per divisor: the product of
+    their powers of prime-power order q**alpha, over every q | p - 1."""
     p = field.p
     g = 1
     for i, (q, alpha) in enumerate(field.divisors):
@@ -187,22 +190,6 @@ def _combine(coverage: dict[int, int], field: FieldSpec) -> int:
         # x is a q-th non-residue, so this power has order exactly q**alpha.
         g = g * pow(x, (p - 1) // q**alpha, p) % p
     return g
-
-
-def combine_primitive_root(result: GenSetResult, field: FieldSpec) -> int:
-    """Fold one covering element per divisor into a primitive root.
-
-    For each divisor index i the covering element x is raised to
-    (p-1)/q_i**alpha_i, giving an element of order q_i**alpha_i; the product
-    over i has order p-1.
-    """
-    if not generates(result.elements, field):
-        raise ValueError("combine_primitive_root requires a generating set")
-    coverage = dict(result.coverage)
-    for i in range(field.r):
-        if i not in coverage or not residue_signature(coverage[i], field) >> i & 1:
-            raise ValueError(f"coverage map does not cover divisor index {i}")
-    return _combine(coverage, field)
 
 
 def elementary_generating_set(table: CandidateTable) -> GenSetResult:
@@ -230,57 +217,31 @@ def greedy_block_generating_set(table: CandidateTable) -> GenSetResult:
 
 
 def exact_min_generating_set(table: CandidateTable, size_cap: int | None = None) -> GenSetResult:
-    """Minimum-cardinality generating set below the radius, by set-cover search.
+    """Minimum-cardinality generating set below the radius, by subset search.
 
-    Iterative deepening over cardinality with depth-first branch-and-bound on
-    the distinct masks present; among equal-cardinality optima the
-    lexicographically smallest element list wins.  If no cover exists within
-    size_cap the greedy result is returned with the exact flag cleared.
+    For k = 1, 2, ..., size_cap the k-subsets of the smallest representatives
+    of the distinct nonempty masks are walked in lexicographic element order,
+    and the first whose masks cover every divisor index wins.  That is also
+    the lexicographically smallest minimum cover among all candidates: in a
+    minimum cover no two elements share a mask, and swapping an element for
+    the smaller representative of its mask keeps it a cover.  size_cap bounds
+    the work; if no cover exists within it the greedy result is returned
+    with the exact flag cleared.
     """
-    r = table.field.r
-    if r > 64:
-        raise ValueError("exact search supports at most 64 divisor indices")
     if size_cap is None:
-        size_cap = r
+        size_cap = table.field.r
     if size_cap < 1:
         raise ValueError(f"size_cap must be >= 1, got {size_cap}")
-    full = (1 << r) - 1
-    # Smallest representative per distinct nonempty mask, in element order.
-    rep_of: dict[int, int] = {}
+    full = (1 << table.field.r) - 1
+    rep_of: dict[int, int] = {}  # distinct nonempty mask -> smallest n, in element order
     for n, m in table.masks.items():
-        if m and m not in rep_of:
-            rep_of[m] = n
-    reps = sorted(rep_of.items(), key=lambda item: item[1])  # (mask, element)
+        if m:
+            rep_of.setdefault(m, n)
     for k in range(1, size_cap + 1):
-        best = _cover_of_size(reps, full, k)
-        if best is not None:
-            return _result(table, "exact", best, exact=True)
+        for subset in combinations(rep_of, k):
+            union = 0
+            for m in subset:
+                union |= m
+            if union == full:
+                return _result(table, "exact", [rep_of[m] for m in subset], exact=True)
     return replace(greedy_block_generating_set(table), method="exact")
-
-
-def _cover_of_size(reps, full: int, k: int) -> tuple[int, ...] | None:
-    """First cover of exactly k masks in lexicographic element order, or None."""
-    suffix_union = [0] * (len(reps) + 1)
-    for j in range(len(reps) - 1, -1, -1):
-        suffix_union[j] = suffix_union[j + 1] | reps[j][0]
-    chosen: list[int] = []
-
-    def dfs(start: int, covered: int, slots: int):
-        if covered == full:
-            return tuple(chosen)
-        if slots == 0 or covered | suffix_union[start] != full:
-            return None
-        for j in range(start, len(reps)):
-            mask, elem = reps[j]
-            if mask & ~covered == 0:
-                continue
-            if covered | suffix_union[j] != full:
-                return None  # later masks only shrink the reachable union
-            chosen.append(elem)
-            hit = dfs(j + 1, covered | mask, slots - 1)
-            if hit is not None:
-                return hit
-            chosen.pop()
-        return None
-
-    return dfs(0, 0, k)

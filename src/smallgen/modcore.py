@@ -99,17 +99,21 @@ def factorize(n: int) -> list[tuple[int, int]]:
 class FieldSpec:
     """An odd prime p together with the full factorization of p-1.
 
-    divisors holds (q, alpha) pairs with q strictly increasing.
+    divisors holds (q, alpha) pairs with q strictly increasing.  Left out, it
+    is factorize(p - 1), computed only once p has passed its checks, so a
+    bad p is refused before any factoring.
     """
 
     p: int
-    divisors: tuple[tuple[int, int], ...]
+    divisors: tuple[tuple[int, int], ...] = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if not (3 <= self.p < MAX_PRIME):
             raise ValueError(f"p must satisfy 3 <= p < 2**63, got {self.p}")
         if self.p % 2 == 0 or not is_prime(self.p):
             raise ValueError(f"p must be an odd prime, got {self.p}")
+        if self.divisors is None:
+            object.__setattr__(self, "divisors", tuple(factorize(self.p - 1)))
         prod = 1
         prev_q = 0
         for q, alpha in self.divisors:
@@ -131,8 +135,8 @@ class FieldSpec:
 
 
 def field_spec(p: int) -> FieldSpec:
-    """Build the FieldSpec for an odd prime p by factorizing p-1; FieldSpec checks p."""
-    return FieldSpec(p=p, divisors=tuple(factorize(p - 1)))
+    """The FieldSpec of an odd prime p; FieldSpec checks p, then factorizes p-1."""
+    return FieldSpec(p)
 
 
 def _reduce_to_group(n: int, p: int) -> int:

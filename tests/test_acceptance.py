@@ -25,7 +25,7 @@ from smallgen.experiments import (
     survey,
     survey_csv,
 )
-from smallgen.genset import candidate_table, combine_primitive_root, exact_min_generating_set, generates
+from smallgen.genset import candidate_table, exact_min_generating_set, generates
 from smallgen.modcore import field_spec, multiplicative_order
 from smallgen.sievelab import PrimeSetSpec, dickman_rho, primes_upto, psi_count, sieve_bound_check
 
@@ -123,12 +123,15 @@ def test_criterion_04_certificates_to_1e5():
     for r in rows:
         f = field_spec(r.p)
         result = exact_min_generating_set(candidate_table(f))
-        g = combine_primitive_root(result, f)
-        if multiplicative_order(g, f) != f.p - 1:
+        if multiplicative_order(result.certificate.g, f) != f.p - 1:
             bad.append(r.p)
-    ok = not bad
-    _report(4, ok, f"combine_primitive_root has order p-1 for all {len(rows)} surveyed primes")
+    # A minimum set of two or more elements holds no primitive root, so its
+    # certificate is the combination of its covering elements.
+    combined = sum(r.h_exact >= 2 for r in rows)
+    ok = not bad and combined > 0
+    _report(4, ok, f"certificates have order p-1 for all {len(rows)} surveyed primes, {combined} combined")
     assert not bad, bad[:5]
+    assert combined > 0
 
 
 def _saddle_point_psi(spec: PrimeSetSpec) -> float:

@@ -70,11 +70,11 @@ def test_huge_inputs_refused_before_factoring(monkeypatch, capsys):
 
     monkeypatch.setattr("smallgen.modcore._pollard_rho", no_rho)
     n = 1315563630749409752745845609206
-    for argv in (["genset", "--p", str(n + 1)], ["anatomy", "--n", str(n)]):
+    for argv, named in ((["genset", "--p", str(n + 1)], n + 1), (["anatomy", "--n", str(n)], n)):
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"got {n}" in captured.err
+        assert f"got {named}" in captured.err
 
 
 def test_survey_past_sieve_cap_is_an_error(capsys):
@@ -266,3 +266,15 @@ OUTPUT_SHA256 = [
 def test_output_pinned(capsys, argv, digest):
     assert run(argv.split()) == 0
     assert hashlib.sha256(out_of(capsys).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv, _ in OUTPUT_SHA256] + ["genset --p 41 --method exact"]
+)
+def test_output_file_matches_stdout(tmp_path, capsys, argv):
+    assert run(argv.split()) == 0
+    stdout = out_of(capsys)
+    target = tmp_path / "out"
+    assert run(argv.split() + ["--output", str(target)]) == 0
+    assert out_of(capsys) == ""
+    assert target.read_bytes().decode() == stdout

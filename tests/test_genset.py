@@ -8,11 +8,9 @@ from hypothesis import given, settings, strategies as st
 from smallgen.genset import (
     GENERATION_EXPONENT,
     CandidateTable,
-    GenSetResult,
     InfeasibleCoverError,
     SearchPolicy,
     candidate_table,
-    combine_primitive_root,
     elementary_generating_set,
     exact_min_generating_set,
     generates,
@@ -229,28 +227,30 @@ def test_exact_lexicographic_tie_break():
         assert not generates([n], f)
 
 
-# ---------------------------------------------------------------------------
-# combine_primitive_root
-# ---------------------------------------------------------------------------
-
-
-def test_combine_examples():
-    f13 = field_spec(13)
-    r = GenSetResult(elements=(2,), method="exact", coverage={0: 2, 1: 2})
-    assert combine_primitive_root(r, f13) == 11
-    f7 = field_spec(7)
-    r = GenSetResult(elements=(3,), method="exact", coverage={0: 3, 1: 3})
-    assert combine_primitive_root(r, f7) == 5
-    f3 = field_spec(3)
-    r = GenSetResult(elements=(2,), method="exact", coverage={0: 2})
-    assert combine_primitive_root(r, f3) == 2
-
-
-def test_combine_rejects_non_generating():
-    f7 = field_spec(7)
-    r = GenSetResult(elements=(2,), method="exact", coverage={1: 2})
-    with pytest.raises(ValueError):
-        combine_primitive_root(r, f7)
+def test_exact_matches_first_generating_subset():
+    # Differential oracle: the first k-subset of all the table's candidates,
+    # in lexicographic order and at the smallest k, that the pow-residue
+    # generation test accepts.
+    policies = [SearchPolicy(), SearchPolicy(hard_cap=16), SearchPolicy(hard_cap=64)]
+    checked = 0
+    for p in primes_upto(1999)[1:]:
+        f = field_spec(int(p))
+        for policy in policies:
+            try:
+                table = candidate_table(f, policy)
+            except InfeasibleCoverError:
+                continue
+            want = next(
+                subset
+                for k in range(1, f.r + 1)
+                for subset in combinations(sorted(table.masks), k)
+                if generates(subset, f)
+            )
+            got = exact_min_generating_set(table)
+            assert got.exact
+            assert got.elements == want, (f.p, policy)
+            checked += 1
+    assert checked > 2 * len(primes_upto(1999))
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +303,6 @@ def test_certificates_sound(method_results):
             assert multiplicative_order(g, f) == f.p - 1
             # g is a q-th non-residue for every divisor
             assert residue_signature(g, f) == (1 << f.r) - 1
-
-
-def test_combine_sound_even_without_primitive_element(method_results):
-    for f, exact, _, elementary in method_results:
-        for r in (exact, elementary):
-            g = combine_primitive_root(r, f)
-            assert multiplicative_order(g, f) == f.p - 1
 
 
 def test_determinism():

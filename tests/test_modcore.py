@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,6 +150,36 @@ def test_field_spec_invariants(small_primes):
         assert f.r == len(f.divisors)
         primes = [q for q, _ in f.divisors]
         assert primes == sorted(primes)
+
+
+def test_field_spec_refuses_p_before_factoring(monkeypatch):
+    def no_rho(n):
+        raise AssertionError(f"rho started on {n}")
+
+    monkeypatch.setattr("smallgen.modcore._pollard_rho", no_rho)
+    # 4611685994204118855 is composite, and its p - 1 = 2 * q1 * q2 with
+    # q1, q2 near 2**30.5 needs rho.  The messages name p, not p - 1.
+    for bad, named in [
+        (1, "3 <= p < 2**63, got 1"),
+        (2**63 + 1, f"3 <= p < 2**63, got {2**63 + 1}"),
+        (4611685994204118855, "odd prime, got 4611685994204118855"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(named)):
+            field_spec(bad)
+
+
+def test_field_spec_tests_p_once(monkeypatch):
+    tested = []
+    original = is_prime
+
+    def counting(n):
+        tested.append(n)
+        return original(n)
+
+    monkeypatch.setattr("smallgen.modcore.is_prime", counting)
+    f = field_spec(10007)  # 10006 = 2 * 5003
+    assert f.divisors == ((2, 1), (5003, 1))
+    assert tested.count(10007) == 1
 
 
 def test_field_spec_rejects_bad_input():
