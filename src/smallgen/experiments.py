@@ -25,12 +25,10 @@ from .genset import (
     greedy_block_generating_set,
 )
 from .modcore import field_spec
-from .sievelab import ResourceLimitError, prime_flags, primes_upto
+from .sievelab import prime_flags, primes_upto
 
 # Meissel-Mertens constant: sum_{p<=T} 1/p = ln ln T + M + o(1).
 MEISSEL_MERTENS = 0.26149721284764278
-
-DENSITY_LIMIT = 10**8
 
 
 @dataclass(frozen=True)
@@ -106,7 +104,7 @@ def survey(
 
     With sample=k, every ceil(n/k)-th prime of the range is taken, starting
     from the first.  Rows come back in ascending p regardless of threads.
-    Raises ResourceLimitError when p_max exceeds the sieve cap DENSITY_LIMIT.
+    Sieves [0, p_max], so p_max over the sieve cap raises ResourceLimitError.
     """
     if p_min < 3:
         raise ValueError(f"p_min must be >= 3, got {p_min}")
@@ -119,9 +117,6 @@ def survey(
         _check_l(l)
     if p_max < p_min:
         return []
-    if p_max > DENSITY_LIMIT:
-        # The sieve below holds one flag per integer in [0, p_max].
-        raise ResourceLimitError(f"survey sieves [0, p_max]; capped at p_max={DENSITY_LIMIT:.0e}")
     primes = [int(p) for p in primes_upto(p_max) if p >= p_min]
     if not primes:
         return []
@@ -146,8 +141,6 @@ def density_experiment(x: int, l_values) -> list[DensityRow]:
     ln ln T + M and the finite harmonic sum over 1/(q-1), reported side by
     side.
     """
-    if x > DENSITY_LIMIT:
-        raise ResourceLimitError(f"density experiment capped at x={DENSITY_LIMIT:.0e}")
     if x < 3:
         raise ValueError(f"x must be >= 3, got {x}")
     thresholds = [(l, smallness_threshold(x - 1, l)) for l in map(float, l_values)]
@@ -195,18 +188,11 @@ def density_experiment(x: int, l_values) -> list[DensityRow]:
     return rows
 
 
-def quantile_report(rows, statistic: str, quantiles, l: float | None = None):
+def quantile_report(rows, statistic: str, quantiles):
     """Exact order statistics of one survey column (nearest-rank convention)."""
     if not rows:
         raise ValueError("quantile report requires at least one row")
-    if statistic == "omega_l":
-        keys = sorted(rows[0].omega_l)
-        if l is None:
-            if len(keys) != 1:
-                raise ValueError("omega_l statistic needs an explicit l")
-            l = keys[0]
-        values = sorted(r.omega_l[float(l)] for r in rows)
-    elif statistic in ("h_exact", "h_greedy", "h_elementary", "omega", "n_used"):
+    if statistic in ("h_exact", "h_greedy", "h_elementary", "omega", "n_used"):
         values = sorted(getattr(r, statistic) for r in rows)
     else:
         raise ValueError(f"unsupported statistic {statistic!r}")

@@ -1,9 +1,10 @@
 """Desk-scale sieve diagnostics: exact smooth counts, Mertens sums, Dickman rho.
 
 Psi(x; P) counts integers up to x all of whose prime factors lie in P,
-computed exactly by depth-first enumeration; the inclusion-exclusion
-prediction x * prod_{p not in P} (1 - 1/p) and the harmonic hypothesis sum
-are evaluated from the realized prime sets directly.
+computed exactly by striking out the multiples of every prime outside P; the
+inclusion-exclusion prediction x * prod_{p not in P} (1 - 1/p) and the
+harmonic hypothesis sum are evaluated from the realized prime sets directly.
+Every sieve goes through prime_flags, which refuses limits over SIEVE_LIMIT.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .modcore import FieldSpec, is_prime
 
-PSI_LIMIT = 10**8  # exact enumeration cap
+SIEVE_LIMIT = 10**8  # one flag per integer: about 100 MB at the cap
 
 _SEGMENT_SPAN = 1 << 22
 
@@ -37,9 +38,14 @@ def _simple_prime_flags(limit: int) -> np.ndarray:
 
 
 def prime_flags(limit: int) -> np.ndarray:
-    """Boolean array f with f[i] iff i is prime, filled by a segmented odd sieve."""
+    """Boolean array f with f[i] iff i is prime, filled by a segmented odd sieve.
+
+    Raises ResourceLimitError, before allocating, when limit > SIEVE_LIMIT.
+    """
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
+    if limit > SIEVE_LIMIT:
+        raise ResourceLimitError(f"sieving to {limit} exceeds the cap {SIEVE_LIMIT:.0e}")
     if limit < _SEGMENT_SPAN:
         return _simple_prime_flags(limit)
     root = math.isqrt(limit)
@@ -109,9 +115,9 @@ class PrimeSetSpec:
 
     def complement(self) -> np.ndarray:
         """Primes <= x missing from the realized set."""
-        inside = self.realize()
-        everything = primes_upto(self.x)
-        return np.setdiff1d(everything, inside, assume_unique=True)
+        flags = prime_flags(self.x)
+        flags[self.realize()] = False
+        return np.flatnonzero(flags)
 
 
 @lru_cache(maxsize=64)
@@ -143,28 +149,21 @@ def _realize(spec: PrimeSetSpec) -> np.ndarray:
 def psi_count(spec: PrimeSetSpec) -> int:
     """Exact number of integers <= x whose prime factors all lie in the set.
 
-    Counts n = 1 as well; depth-first product construction over the primes
-    in increasing order.
+    Counts n = 1 as well; strikes out every multiple of every prime outside
+    the set and counts the survivors, so the work is bounded by x.
     """
     x = spec.x
-    if x > PSI_LIMIT:
-        raise ResourceLimitError(f"psi_count is exact only up to x={PSI_LIMIT:.0e}")
-    primes = [int(p) for p in spec.realize()]
-    count = len(primes)
-
-    def rec(j0: int, rem: int) -> int:
-        total = 1
-        for j in range(j0, count):
-            p = primes[j]
-            if p > rem:
-                break
-            q = rem // p
-            while q >= 1:
-                total += rec(j + 1, q)
-                q //= p
-        return total
-
-    return rec(0, x)
+    outside = spec.complement()
+    keep = np.ones(x + 1, dtype=bool)
+    root = math.isqrt(x)
+    split = int(np.searchsorted(outside, root, side="right"))
+    for p in outside[:split]:
+        keep[p::p] = False
+    # A multiple k * p <= x of a prime p > sqrt(x) has k <= sqrt(x).
+    big = outside[split:]
+    for k in range(1, root + 1):
+        keep[k * big[: int(np.searchsorted(big, x // k, side="right"))]] = False
+    return int(keep[1:].sum())
 
 
 def mertens_sum(spec: PrimeSetSpec, lo: float, hi: float) -> float:
@@ -273,9 +272,9 @@ def sieve_bound_check(spec: PrimeSetSpec, u: float, v: float, epsilon: float) ->
     if u > v:
         raise ValueError(f"need u <= v, got u={u} v={v}")
     x = spec.x
-    if x > PSI_LIMIT:
+    if x > SIEVE_LIMIT:
         # Before mertens_sum, whose realize() would sieve to x**(1/u) first.
-        raise ResourceLimitError(f"psi_count is exact only up to x={PSI_LIMIT:.0e}")
+        raise ResourceLimitError(f"sieve_bound_check sieves to x; capped at x={SIEVE_LIMIT:.0e}")
     lo = x ** (1.0 / v)
     hi = x ** (1.0 / u)
     hyp = mertens_sum(spec, lo, hi)

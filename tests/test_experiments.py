@@ -265,12 +265,6 @@ def test_quantiles_min_max(rows_50):
     assert report[1.0] == max(values)
 
 
-def test_quantiles_median_omega_l(rows_50):
-    report = dict(quantile_report(rows_50, "omega_l", [0.5], l=3.0))
-    values = sorted(r.omega_l[3.0] for r in rows_50)
-    assert report[0.5] == values[math.ceil(0.5 * len(values)) - 1]
-
-
 def test_quantiles_validation(rows_50):
     with pytest.raises(ValueError):
         quantile_report([], "h_exact", [0.5])
@@ -278,8 +272,6 @@ def test_quantiles_validation(rows_50):
         quantile_report(rows_50, "h_exact", [1.5])
     with pytest.raises(ValueError):
         quantile_report(rows_50, "nope", [0.5])
-    with pytest.raises(ValueError):
-        quantile_report(rows_50, "omega_l", [0.5])  # ambiguous l
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -120,6 +121,74 @@ def test_psi_against_sieve_oracle():
 def test_psi_resource_cap():
     with pytest.raises(ResourceLimitError):
         psi_count(PrimeSetSpec.threshold(10**8 + 1, 2.0))
+
+
+def psi_dfs(spec):
+    """Oracle: visit every P-smooth n <= x once, as products of the primes of P
+    taken in increasing order with multiplicity."""
+    primes = [int(p) for p in spec.realize()]
+
+    def rec(j0, rem):
+        total = 1
+        for j in range(j0, len(primes)):
+            p = primes[j]
+            if p > rem:
+                break
+            q = rem // p
+            while q >= 1:
+                total += rec(j + 1, q)
+                q //= p
+        return total
+
+    return rec(0, spec.x)
+
+
+def oracle_specs(x, rng):
+    """Threshold, explicit and residue sets at x, some with members above sqrt(x)."""
+    pool = [int(p) for p in primes_upto(x)]
+    specs = [PrimeSetSpec.threshold(x, u) for u in (1.0, 1.5, 2.0, rng.uniform(1.0, 4.0))]
+    specs.append(PrimeSetSpec.explicit(x, []))
+    specs.append(PrimeSetSpec.explicit(x, rng.sample(pool, min(len(pool), rng.randint(1, 12)))))
+    f = field_spec(rng.choice([7, 13, 31, 61, 211]))
+    specs.append(PrimeSetSpec.residue(x, f, rng.randrange(f.r)))
+    return specs
+
+
+def test_psi_matches_dfs_oracle():
+    rng = random.Random(20260418)
+    cases = [spec for x in range(1, 201) for spec in oracle_specs(x, rng)]
+    for x in sorted(rng.randrange(201, 10**6 + 1) for _ in range(3)):
+        cases += oracle_specs(x, rng)
+    for spec in cases:
+        assert psi_count(spec) == psi_dfs(spec), spec
+
+
+def test_every_sieve_refuses_past_the_cap(monkeypatch):
+    # Each call below once asked prime_flags for 10**12 flags. With numpy's
+    # allocators guarded, an uncapped sieve fails here instead of exhausting
+    # memory.
+    class CappedNumpy:
+        def __getattr__(self, name):
+            attr = getattr(np, name)
+            if name not in ("zeros", "ones", "empty", "full"):
+                return attr
+
+            def guarded(shape, *args, **kwargs):
+                assert math.prod(np.atleast_1d(shape)) <= 10**8 + 1, f"np.{name}({shape}) past the cap"
+                return attr(shape, *args, **kwargs)
+
+            return guarded
+
+    monkeypatch.setattr(sievelab, "np", CappedNumpy())
+    x = 10**12
+    for call in (
+        lambda: primes_upto(x),
+        lambda: mertens_sum(PrimeSetSpec.threshold(x, 1), 0, 10),
+        lambda: complement_product(PrimeSetSpec.explicit(x, [2])),
+        lambda: PrimeSetSpec.residue(x, field_spec(7), 0).realize(),
+    ):
+        with pytest.raises(ResourceLimitError):
+            call()
 
 
 @given(st.data())
@@ -303,7 +372,7 @@ def test_sieve_bound_check_validation():
 
 
 def test_sieve_bound_check_caps_before_sieving(monkeypatch, capsys):
-    # Past PSI_LIMIT the check must refuse before realize() sieves to x**(1/u):
+    # Past SIEVE_LIMIT the check must refuse before realize() sieves to x**(1/u):
     # 1e12 for x = 1e12, u = 1, and 1e9 for x = 1e18, u = 2.
     sieved = []
 
