@@ -117,12 +117,13 @@ def survey(
         _check_l(l)
     if p_max < p_min:
         return []
-    primes = [int(p) for p in primes_upto(p_max) if p >= p_min]
-    if not primes:
+    primes = primes_upto(p_max)
+    primes = primes[primes >= p_min]
+    if primes.size == 0:
         return []
     if sample is not None:
-        stride = math.ceil(len(primes) / sample)
-        primes = primes[::stride]
+        primes = primes[:: math.ceil(primes.size / sample)]
+    primes = primes.tolist()
     worker = partial(survey_row, l_values=l_values, policy=policy)
     if threads > 1:
         chunk = max(1, len(primes) // (threads * 8))
@@ -147,31 +148,16 @@ def density_experiment(x: int, l_values) -> list[DensityRow]:
     flags = prime_flags(x)
     primes = np.flatnonzero(flags)
     n_primes = int(primes.size)
+    qs = primes[primes <= max((threshold for _, threshold in thresholds), default=0.0)]
+    # counts[k] = #{primes p <= x : p = 1 mod q} summed over the first k q's.
+    counts = np.cumsum([0] + [int(np.count_nonzero(flags[1::q])) for q in qs.tolist()])
     rows = []
     for l, threshold in thresholds:
-        if threshold < 2:
-            rows.append(
-                DensityRow(
-                    x=x,
-                    l=l,
-                    threshold=threshold,
-                    empirical_mean=0.0,
-                    prediction=0.0,
-                    ratio=math.nan,
-                    prediction_harmonic=0.0,
-                    ratio_harmonic=math.nan,
-                    degenerate=True,
-                )
-            )
-            continue
-        q_cap = int(min(threshold, float(x)))
-        qs = [int(q) for q in primes[primes <= q_cap]]
-        total = 0
-        for q in qs:
-            total += int(flags[1::q].sum())
-        empirical = total / n_primes
-        prediction = math.log(math.log(threshold)) + MEISSEL_MERTENS if threshold != math.inf else math.inf
-        harmonic = math.fsum(1.0 / (q - 1) for q in qs)
+        k = int(np.searchsorted(qs, threshold, side="right"))
+        degenerate = threshold < 2
+        empirical = int(counts[k]) / n_primes
+        prediction = 0.0 if degenerate else math.log(math.log(threshold)) + MEISSEL_MERTENS
+        harmonic = math.fsum(1.0 / (qs[:k] - 1))
         rows.append(
             DensityRow(
                 x=x,
@@ -182,7 +168,7 @@ def density_experiment(x: int, l_values) -> list[DensityRow]:
                 ratio=empirical / prediction if prediction not in (0.0, math.inf) else math.nan,
                 prediction_harmonic=harmonic,
                 ratio_harmonic=empirical / harmonic if harmonic > 0 else math.nan,
-                degenerate=False,
+                degenerate=degenerate,
             )
         )
     return rows

@@ -46,13 +46,11 @@ def prime_flags(limit: int) -> np.ndarray:
         raise ValueError(f"limit must be >= 0, got {limit}")
     if limit > SIEVE_LIMIT:
         raise ResourceLimitError(f"sieving to {limit} exceeds the cap {SIEVE_LIMIT:.0e}")
-    if limit < _SEGMENT_SPAN:
-        return _simple_prime_flags(limit)
     root = math.isqrt(limit)
     base = np.flatnonzero(_simple_prime_flags(root))
     base_odd = [int(p) for p in base if p > 2]
     flags = np.zeros(limit + 1, dtype=bool)
-    flags[2] = True
+    flags[2:3] = True  # a slice, so limits 0 and 1 need no branch
     flags[3::2] = True
     for lo in range(0, limit + 1, _SEGMENT_SPAN):
         hi = min(lo + _SEGMENT_SPAN, limit + 1)
@@ -114,10 +112,8 @@ class PrimeSetSpec:
         return _realize(self)
 
     def complement(self) -> np.ndarray:
-        """Primes <= x missing from the realized set."""
-        flags = prime_flags(self.x)
-        flags[self.realize()] = False
-        return np.flatnonzero(flags)
+        """Primes <= x missing from the realized set, ascending (read-only array)."""
+        return _complement(self)
 
 
 @lru_cache(maxsize=64)
@@ -130,18 +126,25 @@ def _realize(spec: PrimeSetSpec) -> np.ndarray:
         p = field.p
         q, _ = field.divisors[spec.divisor_index]
         exp = (p - 1) // q
-        arr = np.array(
-            [
-                t
-                for t in primes_upto(spec.x)
-                if t % p != 0 and pow(int(t) % p, exp, p) == 1
-            ],
-            dtype=np.int64,
-        )
+        primes = primes_upto(spec.x)
+        # One pow per residue class; class 0 (t = p) gives pow(0, exp, p) = 0.
+        residues = primes % p
+        hits = [c for c in np.unique(residues).tolist() if pow(c, exp, p) == 1]
+        arr = primes[np.isin(residues, hits)]
     elif spec.kind == "explicit":
         arr = np.array(spec.members, dtype=np.int64)
     else:
         raise ValueError(f"unknown prime set kind {spec.kind!r}")
+    arr.flags.writeable = False
+    return arr
+
+
+# psi_count and complement_product of one check share this sieve of [0, x].
+@lru_cache(maxsize=1)
+def _complement(spec: PrimeSetSpec) -> np.ndarray:
+    flags = prime_flags(spec.x)
+    flags[spec.realize()] = False
+    arr = np.flatnonzero(flags)
     arr.flags.writeable = False
     return arr
 

@@ -200,10 +200,14 @@ def density_mean_by_factorization(x, l):
 
 
 def test_density_cross_check_exact():
-    rows = density_experiment(10**4, [2.0, 3.0])
-    for r in rows:
-        slow = density_mean_by_factorization(10**4, r.l)
-        assert r.empirical_mean == slow  # identical double count, exact equality
+    # l = 150 has an infinite threshold; at x = 7, l = 1 is degenerate next to a real row.
+    for x, l_values in ((10**4, [2.0, 3.0, 1.0, 150.0]), (7, [1.0, 2.0])):
+        rows = density_experiment(x, l_values)
+        for r in rows:
+            slow = density_mean_by_factorization(x, r.l)
+            assert r.empirical_mean == slow  # identical double count, exact equality
+            assert to_json(density_experiment(x, [r.l])) == to_json([r])
+        assert [r.degenerate for r in rows] == [x == 7 and r.l == 1.0 for r in rows]
 
 
 def test_density_known_row():

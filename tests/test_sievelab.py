@@ -37,11 +37,11 @@ def test_prime_flags_against_miller_rabin():
 
 
 def test_segmented_matches_simple():
-    # limit above the segment span exercises the segmented path
+    # every small limit, and the limits around one segment span
     from smallgen.sievelab import _SEGMENT_SPAN, _simple_prime_flags
 
-    limit = _SEGMENT_SPAN + 10_000
-    assert np.array_equal(prime_flags(limit), _simple_prime_flags(limit))
+    for limit in [*range(3000), _SEGMENT_SPAN - 1, _SEGMENT_SPAN, _SEGMENT_SPAN + 1]:
+        assert np.array_equal(prime_flags(limit), _simple_prime_flags(limit)), limit
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +83,12 @@ def test_residue_set_members_are_residues():
                 assert t not in members
             else:
                 assert (t in members) == (t % 31 in residues)
+    # Against the per-prime pow filter: p <= x (t = p is a candidate), p > x, p = x.
+    for x, p in ((500, 31), (10**4, 1009), (200, 1009), (31, 31)):
+        f = field_spec(p)
+        for i, (q, _) in enumerate(f.divisors):
+            expected = [t for t in primes_upto(x).tolist() if t % p and pow(t, (p - 1) // q, p) == 1]
+            assert PrimeSetSpec.residue(x, f, i).realize().tolist() == expected, (x, p, q)
 
 
 def test_complement_partitions():
@@ -387,6 +393,22 @@ def test_sieve_bound_check_caps_before_sieving(monkeypatch, capsys):
         assert run(["sieve", "check", "--x", str(x), "--u", str(u), "--v", str(v)]) == 1
     assert sieved == []
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_sieve_bound_check_sieves_once(monkeypatch):
+    # psi_count and complement_product share one sieve of [0, x].
+    limits = []
+
+    def spy(limit):
+        limits.append(limit)
+        return prime_flags(limit)
+
+    sievelab._realize.cache_clear()
+    sievelab._complement.cache_clear()
+    monkeypatch.setattr(sievelab, "prime_flags", spy)
+    rep = sieve_bound_check(PrimeSetSpec.threshold(10**7, 2), 2, 10, 0.1)
+    assert rep.psi == 3362157
+    assert limits.count(10**7) == 1
 
 
 def test_hypothesis_sum_is_plain_mertens_sum():
