@@ -19,6 +19,7 @@ from .genset import (
     InfeasibleCoverError,
     SearchPolicy,
     candidate_table,
+    certify,
     elementary_generating_set,
     exact_min_generating_set,
     generates,

@@ -18,13 +18,12 @@ from .anatomy import _check_l, anatomy_record, dyadic_schedule
 from .codec import to_csv, to_json
 from .experiments import density_experiment, survey
 from .genset import (
+    METHODS,
     GenSetResult,
     InfeasibleCoverError,
     SearchPolicy,
     candidate_table,
-    elementary_generating_set,
-    exact_min_generating_set,
-    greedy_block_generating_set,
+    certify,
 )
 from .modcore import field_spec
 from .sievelab import (
@@ -33,13 +32,6 @@ from .sievelab import (
     psi_count,
     sieve_bound_check,
 )
-
-_METHODS = {
-    "elementary": elementary_generating_set,
-    "greedy": greedy_block_generating_set,
-    "exact": exact_min_generating_set,
-}
-
 
 def _parse_l_list(text: str) -> tuple[float, ...]:
     try:
@@ -57,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("genset", help="construct a generating set for one prime")
     g.add_argument("--p", type=int, required=True, help="odd prime field modulus")
-    g.add_argument("--method", choices=sorted(_METHODS), default="elementary")
+    g.add_argument("--method", choices=sorted(METHODS), default="elementary")
     g.add_argument("--epsilon", type=float, default=0.05, help="radius exponent bump")
     g.add_argument("--size-cap", type=int, default=None, help="exact search cardinality cap")
     g.add_argument("--no-expand", action="store_true", help="fail instead of doubling the radius")
@@ -155,11 +147,7 @@ def _cmd_genset(parser, args) -> int:
         expand_on_failure=not args.no_expand,
         hard_cap=args.hard_cap,
     )
-    table = candidate_table(field, policy)
-    if args.method == "exact":
-        result = exact_min_generating_set(table, size_cap=args.size_cap)
-    else:
-        result = _METHODS[args.method](table)
+    result = certify(candidate_table(field, policy), args.method, args.size_cap)
     if args.format == "json":
         _emit(genset_result_json(args.p, result), args.output)
         return 0

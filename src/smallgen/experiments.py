@@ -74,21 +74,21 @@ def survey_row(p: int, l_values=(2.0, 3.0), policy: SearchPolicy = SearchPolicy(
     record = anatomy_record(p - 1, l_values, field.divisors)
     table = candidate_table(field, policy)
     exact = exact_min_generating_set(table)
-    greedy = greedy_block_generating_set(table)
+    greedy = tuple(sorted(greedy_block_generating_set(table)))
     elementary = elementary_generating_set(table)
     return SurveyRow(
         p=p,
         omega=record.omega,
         omega_l=record.omega_l,
-        h_exact=len(exact.elements),
-        h_greedy=len(greedy.elements),
-        h_elementary=len(elementary.elements),
+        h_exact=len(exact),
+        h_greedy=len(greedy),
+        h_elementary=len(elementary),
         n_used=table.radius,
-        asymptotic_violation=exact.asymptotic_violation,
+        asymptotic_violation=table.radius > table.initial,
         bounds=record.bounds,
-        exact_elements=exact.elements,
-        greedy_elements=greedy.elements,
-        elementary_elements=elementary.elements,
+        exact_elements=exact,
+        greedy_elements=greedy,
+        elementary_elements=elementary,
     )
 
 
@@ -146,9 +146,9 @@ def density_experiment(x: int, l_values) -> list[DensityRow]:
         raise ValueError(f"x must be >= 3, got {x}")
     thresholds = [(l, smallness_threshold(x - 1, l)) for l in map(float, l_values)]
     flags = prime_flags(x)
-    primes = np.flatnonzero(flags)
-    n_primes = int(primes.size)
-    qs = primes[primes <= max((threshold for _, threshold in thresholds), default=0.0)]
+    n_primes = int(np.count_nonzero(flags))
+    t_max = max((threshold for _, threshold in thresholds), default=0.0)
+    qs = np.flatnonzero(flags[: int(min(t_max, x)) + 1])  # t_max is inf at large l
     # counts[k] = #{primes p <= x : p = 1 mod q} summed over the first k q's.
     counts = np.cumsum([0] + [int(np.count_nonzero(flags[1::q])) for q in qs.tolist()])
     rows = []

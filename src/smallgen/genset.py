@@ -10,7 +10,7 @@ set-cover problem over the masks realized below a search radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
@@ -151,35 +151,6 @@ def candidate_table(field: FieldSpec, policy: SearchPolicy = SearchPolicy()) -> 
         lo, radius = radius + 1, min(2 * radius, cap)
 
 
-def _result(table: CandidateTable, method: str, picks, exact: bool = False) -> GenSetResult:
-    """Package covering picks, read off the table, as a certified GenSetResult.
-
-    Each divisor index is covered by the first pick, in the given order, whose
-    mask has its bit.  The certificate is the smallest element with a full
-    mask (a primitive root) if there is one, else the prime-power-order
-    combination of the covering elements.
-    """
-    field, masks = table.field, table.masks
-    full = (1 << field.r) - 1
-    elements = tuple(sorted(picks))
-    coverage = {i: next(n for n in picks if masks[n] >> i & 1) for i in range(field.r)}
-    primitive = next((n for n in elements if masks[n] == full), None)
-    if primitive is not None:
-        certificate = Certificate(primitive, field.p - 1)
-    else:
-        g = _combine(coverage, field)
-        certificate = Certificate(g, multiplicative_order(g, field))
-    return GenSetResult(
-        elements=elements,
-        method=method,
-        coverage=coverage,
-        n_used=table.radius,
-        asymptotic_violation=table.radius > table.initial,
-        certificate=certificate,
-        exact=exact,
-    )
-
-
 def _combine(coverage: dict[int, int], field: FieldSpec) -> int:
     """Primitive root from one covering element per divisor: the product of
     their powers of prime-power order q**alpha, over every q | p - 1."""
@@ -192,15 +163,14 @@ def _combine(coverage: dict[int, int], field: FieldSpec) -> int:
     return g
 
 
-def elementary_generating_set(table: CandidateTable) -> GenSetResult:
-    """One element per divisor: the smallest q_i-th non-residue for each q_i."""
+def elementary_generating_set(table: CandidateTable) -> tuple[int, ...]:
+    """One element per divisor: the smallest q_i-th non-residue for each q_i, ascending."""
     masks = table.masks
-    picks = {next(n for n in masks if masks[n] >> i & 1) for i in range(table.field.r)}
-    return _result(table, "elementary", sorted(picks))
+    return tuple(sorted({next(n for n in masks if masks[n] >> i & 1) for i in range(table.field.r)}))
 
 
-def greedy_block_generating_set(table: CandidateTable) -> GenSetResult:
-    """Pick candidates covering the most still-uncovered divisors (ties: smallest n)."""
+def greedy_block_generating_set(table: CandidateTable) -> tuple[int, ...]:
+    """Pick candidates covering the most still-uncovered divisors (ties: smallest n), in pick order."""
     masks = table.masks
     full = (1 << table.field.r) - 1
     covered = 0
@@ -213,10 +183,10 @@ def greedy_block_generating_set(table: CandidateTable) -> GenSetResult:
                 best_n, best_gain = n, gain
         picks.append(best_n)  # best_gain >= 1: the radius guarantees full coverage
         covered |= masks[best_n]
-    return _result(table, "greedy", picks)
+    return tuple(picks)
 
 
-def exact_min_generating_set(table: CandidateTable, size_cap: int | None = None) -> GenSetResult:
+def exact_min_generating_set(table: CandidateTable, size_cap: int | None = None) -> tuple[int, ...] | None:
     """Minimum-cardinality generating set below the radius, by subset search.
 
     For k = 1, 2, ..., size_cap the k-subsets of the smallest representatives
@@ -225,13 +195,11 @@ def exact_min_generating_set(table: CandidateTable, size_cap: int | None = None)
     the lexicographically smallest minimum cover among all candidates: in a
     minimum cover no two elements share a mask, and swapping an element for
     the smaller representative of its mask keeps it a cover.  size_cap bounds
-    the work; if no cover exists within it the greedy result is returned
-    with the exact flag cleared.
+    the work (default r, which always suffices); None is returned when no
+    cover exists within it.
     """
     if size_cap is None:
         size_cap = table.field.r
-    if size_cap < 1:
-        raise ValueError(f"size_cap must be >= 1, got {size_cap}")
     full = (1 << table.field.r) - 1
     rep_of: dict[int, int] = {}  # distinct nonempty mask -> smallest n, in element order
     for n, m in table.masks.items():
@@ -243,5 +211,46 @@ def exact_min_generating_set(table: CandidateTable, size_cap: int | None = None)
             for m in subset:
                 union |= m
             if union == full:
-                return _result(table, "exact", [rep_of[m] for m in subset], exact=True)
-    return replace(greedy_block_generating_set(table), method="exact")
+                return tuple(rep_of[m] for m in subset)
+    return None
+
+
+METHODS = {
+    "elementary": elementary_generating_set,
+    "greedy": greedy_block_generating_set,
+    "exact": exact_min_generating_set,
+}
+
+
+def certify(table: CandidateTable, method: str = "elementary", size_cap: int | None = None) -> GenSetResult:
+    """Run the named construction on the table and package its picks as a certified GenSetResult.
+
+    When no exact cover fits within size_cap, greedy's picks stand in with
+    exact=False.  Each divisor index is covered by the first pick, in pick
+    order, whose mask has its bit.  The certificate is the smallest primitive
+    root among the elements, else the prime-power-order combination of the
+    coverers; its order is computed, not assumed.
+    """
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {', '.join(sorted(METHODS))}, got {method!r}")
+    if size_cap is not None and size_cap < 1:
+        raise ValueError(f"size_cap must be >= 1, got {size_cap}")
+    exact = method == "exact"
+    picks = exact_min_generating_set(table, size_cap) if exact else METHODS[method](table)
+    if picks is None:  # no cover within size_cap
+        picks, exact = greedy_block_generating_set(table), False
+    field, masks = table.field, table.masks
+    full = (1 << field.r) - 1
+    elements = tuple(sorted(picks))
+    coverage = {i: next(n for n in picks if masks[n] >> i & 1) for i in range(field.r)}
+    g = next((n for n in elements if masks[n] == full), None) or _combine(coverage, field)
+    return GenSetResult(
+        elements=elements,
+        method=method,
+        coverage=coverage,
+        n_used=table.radius,
+        asymptotic_violation=table.radius > table.initial,
+        certificate=Certificate(g, multiplicative_order(g, field)),
+        exact=exact,
+    )
+

@@ -25,7 +25,7 @@ from smallgen.experiments import (
     survey,
     survey_csv,
 )
-from smallgen.genset import candidate_table, exact_min_generating_set, generates
+from smallgen.genset import candidate_table, certify, generates
 from smallgen.modcore import field_spec, multiplicative_order
 from smallgen.sievelab import PrimeSetSpec, dickman_rho, primes_upto, psi_count, sieve_bound_check
 
@@ -122,7 +122,7 @@ def test_criterion_04_certificates_to_1e5():
     bad = []
     for r in rows:
         f = field_spec(r.p)
-        result = exact_min_generating_set(candidate_table(f))
+        result = certify(candidate_table(f), "exact")
         if multiplicative_order(result.certificate.g, f) != f.p - 1:
             bad.append(r.p)
     # A minimum set of two or more elements holds no primitive root, so its

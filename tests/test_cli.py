@@ -37,6 +37,7 @@ def test_exit_codes(capsys):
         ("genset --p 13 --epsilon 0", "epsilon must be positive, got 0.0"),
         ("genset --p 13 --hard-cap 1", "hard_cap must be >= 2, got 1"),
         ("genset --p 13 --method exact --size-cap 0", "size_cap must be >= 1, got 0"),
+        ("genset --p 13 --method greedy --size-cap 0", "size_cap must be >= 1, got 0"),
         ("survey --min 2 --max 50", "p_min must be >= 3, got 2"),
         ("survey --min 3 --max 50 --epsilon -1", "epsilon must be positive, got -1.0"),
         ("survey --min 3 --max 50 --sample 0", "sample must be >= 1, got 0"),

@@ -3,13 +3,13 @@ import pytest
 from smallgen.anatomy import anatomy_record, dyadic_schedule
 from smallgen.codec import from_json, to_json
 from smallgen.experiments import density_experiment, survey_row
-from smallgen.genset import Certificate, candidate_table, exact_min_generating_set
+from smallgen.genset import Certificate, candidate_table, certify
 from smallgen.modcore import field_spec
 from smallgen.sievelab import PrimeSetSpec, sieve_bound_check
 
 RECORDS = {
     # 41 - 1 = 2^3 * 5: the certificate comes from combining two elements.
-    "GenSetResult": lambda: exact_min_generating_set(candidate_table(field_spec(41))),
+    "GenSetResult": lambda: certify(candidate_table(field_spec(41)), "exact"),
     "SurveyRow": lambda: survey_row(577, (2.0, 3.0)),
     "AnatomyRecord": lambda: anatomy_record(720720, [2.0, 3.0]),
     "DyadicSchedule": lambda: dyadic_schedule(2305843009213693951),

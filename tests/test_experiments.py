@@ -132,6 +132,40 @@ def test_survey_row_factorizes_once(monkeypatch):
     assert [row.omega for row in rows] == [2, 2, 2, 2, 15]
 
 
+def test_survey_builds_no_certificate(monkeypatch):
+    # Rows persist the elements only, so a survey builds no GenSetResult and
+    # computes no multiplicative order; certifying the same rows would.
+    orders, results = [], []
+    order, result = modcore.multiplicative_order, genset.GenSetResult
+
+    def counting_order(g, field):
+        orders.append(g)
+        return order(g, field)
+
+    def counting_result(**fields):
+        results.append(fields["elements"])
+        return result(**fields)
+
+    for module in (modcore, genset):
+        monkeypatch.setattr(module, "multiplicative_order", counting_order)
+    monkeypatch.setattr(genset, "GenSetResult", counting_result)
+    rows = survey(3, 3000)
+    assert len(rows) == 429
+    assert orders == [] and results == []
+    genset.certify(genset.candidate_table(field_spec(41)), "exact")  # 41 certifies by combination
+    assert len(orders) == 1 and results == [(2, 3)]
+
+
+def test_survey_rows_match_certify():
+    # Differential: each persisted element list is what certify reports for its method.
+    for row in survey(3, 3000):
+        table = genset.candidate_table(field_spec(row.p))
+        for method in genset.METHODS:
+            result = genset.certify(table, method)
+            assert result.elements == getattr(row, f"{method}_elements"), (row.p, method)
+            assert (result.n_used, result.asymptotic_violation) == (row.n_used, row.asymptotic_violation)
+
+
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
@@ -201,7 +235,7 @@ def density_mean_by_factorization(x, l):
 
 def test_density_cross_check_exact():
     # l = 150 has an infinite threshold; at x = 7, l = 1 is degenerate next to a real row.
-    for x, l_values in ((10**4, [2.0, 3.0, 1.0, 150.0]), (7, [1.0, 2.0])):
+    for x, l_values in ((10**4, [2.0, 3.0, 1.0, 150.0]), (100, [1.0, 2.0, 3.0, 150.0]), (7, [1.0, 2.0])):
         rows = density_experiment(x, l_values)
         for r in rows:
             slow = density_mean_by_factorization(x, r.l)

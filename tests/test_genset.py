@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from smallgen.genset import (
     GENERATION_EXPONENT,
+    METHODS,
     CandidateTable,
     InfeasibleCoverError,
     SearchPolicy,
     candidate_table,
+    certify,
     elementary_generating_set,
     exact_min_generating_set,
     generates,
@@ -137,7 +139,7 @@ def test_candidate_table_matches_pow_scan(p, hard_cap, expand):
 
 
 def test_elementary_p7():
-    r = elementary_generating_set(candidate_table(field_spec(7)))
+    r = certify(candidate_table(field_spec(7)), "elementary")
     assert r.elements == (2, 3)
     assert r.coverage == {0: 3, 1: 2}  # q=2 <- 3, q=3 <- 2
     assert r.asymptotic_violation
@@ -145,14 +147,14 @@ def test_elementary_p7():
 
 
 def test_elementary_p13():
-    r = elementary_generating_set(candidate_table(field_spec(13)))
+    r = certify(candidate_table(field_spec(13)), "elementary")
     assert r.elements == (2,)
     assert not r.asymptotic_violation
     assert r.certificate == (2, 12)
 
 
 def test_elementary_p41():
-    r = elementary_generating_set(candidate_table(field_spec(41)))
+    r = certify(candidate_table(field_spec(41)), "elementary")
     assert r.elements == (2, 3)
     assert r.coverage == {0: 3, 1: 2}
 
@@ -163,12 +165,12 @@ def test_elementary_p41():
 
 
 def test_greedy_p31():
-    r = greedy_block_generating_set(candidate_table(field_spec(31)))
+    r = certify(candidate_table(field_spec(31)), "greedy")
     assert r.elements == (3,)
 
 
 def test_greedy_p7():
-    r = greedy_block_generating_set(candidate_table(field_spec(7)))
+    r = certify(candidate_table(field_spec(7)), "greedy")
     assert r.elements == (3,)
 
 
@@ -178,14 +180,14 @@ def test_greedy_p7():
 
 
 def test_exact_p7():
-    r = exact_min_generating_set(candidate_table(field_spec(7)))
+    r = certify(candidate_table(field_spec(7)), "exact")
     assert r.elements == (3,)
     assert r.exact
     assert r.method == "exact"
 
 
 def test_exact_p13():
-    r = exact_min_generating_set(candidate_table(field_spec(13)))
+    r = certify(candidate_table(field_spec(13)), "exact")
     assert r.elements == (2,)
     assert r.certificate == (2, 12)
 
@@ -201,27 +203,54 @@ def test_hard_cap_stops_expansion():
     with pytest.raises(InfeasibleCoverError):
         candidate_table(field_spec(7), SearchPolicy(hard_cap=2))
     # cap = 4 is just enough to reach the non-residue 3
-    r = elementary_generating_set(candidate_table(field_spec(7), SearchPolicy(hard_cap=4)))
+    r = certify(candidate_table(field_spec(7), SearchPolicy(hard_cap=4)), "elementary")
     assert r.elements == (2, 3)
     assert r.n_used == 4
 
 
 def test_exact_size_cap_falls_back_to_greedy():
     f = field_spec(41)  # needs two elements below its radius
-    full = exact_min_generating_set(candidate_table(f))
+    t = candidate_table(f)
+    full = certify(t, "exact")
     assert len(full.elements) == 2 and full.exact
-    capped = exact_min_generating_set(candidate_table(f), size_cap=1)
-    greedy = greedy_block_generating_set(candidate_table(f))
+    assert exact_min_generating_set(t, size_cap=1) is None
+    capped = certify(t, "exact", 1)
+    greedy = certify(t, "greedy")
     assert capped.method == "exact"
     assert not capped.exact
     assert capped.elements == greedy.elements
+    assert capped.coverage == greedy.coverage and capped.certificate == greedy.certificate
+
+
+def test_certify_checks_method_and_size_cap():
+    t = candidate_table(field_spec(13))
+    for method in METHODS:
+        with pytest.raises(ValueError, match="size_cap must be >= 1, got 0"):
+            certify(t, method, 0)
+    with pytest.raises(ValueError, match="method must be one of elementary, exact, greedy, got 'bogus'"):
+        certify(t, "bogus")
+    assert certify(t) == certify(t, "elementary")
+
+
+def test_constructions_return_picks():
+    # p = 151: p - 1 = 2 * 3 * 5^2.  Greedy takes 3 (q = 2 and 5) before 2
+    # (q = 3); certify sorts the elements but reads the picks in that order.
+    t = candidate_table(field_spec(151))
+    assert greedy_block_generating_set(t) == (3, 2)
+    r = certify(t, "greedy")
+    assert r.elements == (2, 3)
+    assert r.coverage == {0: 3, 1: 2, 2: 3}
+    for p in primes_upto(3000)[1:].tolist():
+        t = candidate_table(field_spec(p))
+        for picks in (elementary_generating_set(t), exact_min_generating_set(t)):
+            assert picks == tuple(sorted(set(picks))), p
 
 
 def test_exact_lexicographic_tie_break():
     # p = 31: masks of 2 (q=5 only) and 3 (all) both exist; the minimum is {3},
     # and among 1-element covers the smallest element wins by construction.
     f = field_spec(31)
-    r = exact_min_generating_set(candidate_table(f))
+    r = certify(candidate_table(f), "exact")
     assert r.elements == (3,)
     for n in range(2, r.elements[0]):
         assert not generates([n], f)
@@ -246,9 +275,8 @@ def test_exact_matches_first_generating_subset():
                 for subset in combinations(sorted(table.masks), k)
                 if generates(subset, f)
             )
-            got = exact_min_generating_set(table)
-            assert got.exact
-            assert got.elements == want, (f.p, policy)
+            assert exact_min_generating_set(table) == want, (f.p, policy)
+            assert certify(table, "exact").exact
             checked += 1
     assert checked > 2 * len(primes_upto(1999))
 
@@ -267,9 +295,9 @@ def method_results(small_primes):
         out.append(
             (
                 f,
-                exact_min_generating_set(t),
-                greedy_block_generating_set(t),
-                elementary_generating_set(t),
+                certify(t, "exact"),
+                certify(t, "greedy"),
+                certify(t, "elementary"),
             )
         )
     return out
@@ -309,8 +337,8 @@ def test_determinism():
     for p in (7, 13, 41, 97, 577):
         f = field_spec(p)
         assert candidate_table(f) == candidate_table(f)
-        for construct in (exact_min_generating_set, greedy_block_generating_set, elementary_generating_set):
-            assert construct(candidate_table(f)) == construct(candidate_table(f))
+        for method in METHODS:
+            assert certify(candidate_table(f), method) == certify(candidate_table(f), method)
 
 
 @given(st.sampled_from([101, 103, 107, 109, 113, 127, 131, 137, 139, 149]))
@@ -318,7 +346,7 @@ def test_determinism():
 def test_coverage_map_is_consistent(p):
     f = field_spec(p)
     t = candidate_table(f)
-    for r in (exact_min_generating_set(t), greedy_block_generating_set(t)):
+    for r in (certify(t, "exact"), certify(t, "greedy")):
         assert sorted(r.coverage) == list(range(f.r))
         for i, n in r.coverage.items():
             assert n in r.elements
@@ -358,16 +386,11 @@ GENSET_JSON_SHA256 = {
 
 
 def test_genset_json_pinned():
-    constructions = {
-        "elementary": elementary_generating_set,
-        "greedy": greedy_block_generating_set,
-        "exact": exact_min_generating_set,
-    }
     for p, pins in GENSET_JSON_SHA256.items():
         table = candidate_table(field_spec(p))
-        for method, construct in constructions.items():
-            text = genset_result_json(p, construct(table))
-            assert hashlib.sha256(text.encode()).hexdigest() == pins[method], (p, method)
+        for method, pin in pins.items():
+            text = genset_result_json(p, certify(table, method))
+            assert hashlib.sha256(text.encode()).hexdigest() == pin, (p, method)
 
 
 def test_early_exit_matches_full_scan():
@@ -375,10 +398,10 @@ def test_early_exit_matches_full_scan():
     # must give byte-identical results to a table pow-scanned over all of
     # [2, min(radius, p - 1)] with the same radius and initial radius.
     constructions = {
-        "elementary": elementary_generating_set,
-        "greedy": greedy_block_generating_set,
-        "exact": exact_min_generating_set,
-        "exact size_cap=1": lambda t: exact_min_generating_set(t, size_cap=1),
+        "elementary": lambda t: certify(t, "elementary"),
+        "greedy": lambda t: certify(t, "greedy"),
+        "exact": lambda t: certify(t, "exact"),
+        "exact size_cap=1": lambda t: certify(t, "exact", 1),
     }
     policies = [
         SearchPolicy(),
