@@ -24,8 +24,8 @@ from .genset import (
     exact_min_generating_set,
     greedy_block_generating_set,
 )
-from .modcore import field_spec
-from .sievelab import prime_flags, primes_upto
+from .modcore import FieldSpec, field_spec
+from .sievelab import p_minus_one_divisors, prime_flags, primes_upto
 
 # Meissel-Mertens constant: sum_{p<=T} 1/p = ln ln T + M + o(1).
 MEISSEL_MERTENS = 0.26149721284764278
@@ -70,7 +70,16 @@ class DensityRow:
 
 def survey_row(p: int, l_values=(2.0, 3.0), policy: SearchPolicy = SearchPolicy()) -> SurveyRow:
     """Compute one survey row for the prime p."""
-    field = field_spec(p)
+    return _row(field_spec(p), l_values, policy)
+
+
+def _divisor_row(p_divisors, l_values, policy) -> SurveyRow:
+    """The row of (p, divisors of p - 1) from the batch pass; FieldSpec checks both."""
+    return _row(FieldSpec(*p_divisors), l_values, policy)
+
+
+def _row(field: FieldSpec, l_values, policy: SearchPolicy) -> SurveyRow:
+    p = field.p
     record = anatomy_record(p - 1, l_values, field.divisors)
     table = candidate_table(field, policy)
     exact = exact_min_generating_set(table)
@@ -105,6 +114,9 @@ def survey(
     With sample=k, every ceil(n/k)-th prime of the range is taken, starting
     from the first.  Rows come back in ascending p regardless of threads.
     Sieves [0, p_max], so p_max over the sieve cap raises ResourceLimitError.
+    The divisors of every selected p - 1 come from one batch pass,
+    p_minus_one_divisors, whose working memory is bounded by its chunk of
+    primes; no row factorizes, and each FieldSpec still checks its divisors.
     """
     if p_min < 3:
         raise ValueError(f"p_min must be >= 3, got {p_min}")
@@ -123,14 +135,14 @@ def survey(
         return []
     if sample is not None:
         primes = primes[:: math.ceil(primes.size / sample)]
-    primes = primes.tolist()
-    worker = partial(survey_row, l_values=l_values, policy=policy)
+    pairs = p_minus_one_divisors(primes)
+    worker = partial(_divisor_row, l_values=l_values, policy=policy)
     if threads > 1:
-        chunk = max(1, len(primes) // (threads * 8))
+        chunk = max(1, primes.size // (threads * 8))
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(worker, primes, chunksize=chunk))
+            rows = list(pool.map(worker, pairs, chunksize=chunk))
     else:
-        rows = [worker(p) for p in primes]
+        rows = [worker(pair) for pair in pairs]
     return rows
 
 

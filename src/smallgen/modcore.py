@@ -1,17 +1,34 @@
 """Exact modular arithmetic over F_p*: primality, factorization, orders, power-residue tests.
 
-Everything here is deterministic and exact for inputs below 2**63; the
-Miller-Rabin witness set is valid far beyond 64 bits, so no probabilistic
-answers ever leak out.
+Everything here is deterministic and exact for inputs below 2**63: the
+Miller-Rabin witnesses are chosen by the size of n from sets proven to leave
+no strong pseudoprime below their bound (the full set is valid far beyond
+64 bits), so no probabilistic answers ever leak out.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 # Witnesses sufficient for a deterministic Miller-Rabin below 3.3e24 (> 2**64).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Which prefix of the witnesses decides n, by size: below _MR_TIER_BOUNDS[i]
+# the first _MR_TIER_SIZES[i] suffice.  Each bound is the least strong
+# pseudoprime to its witness prefix, so the test is n < bound (Pomerance,
+# Selfridge and Wagstaff 1980; Jaeschke 1993; Jiang and Deng 2014).
+_MR_TIER_BOUNDS = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+)
+_MR_TIER_SIZES = (1, 2, 3, 4, 5, 6, 7, 9, len(_MR_WITNESSES))
 
 # Trial division strips only the small primes: Pollard rho finishes the
 # cofactor in about q**0.5 steps for its smallest prime q, where dividing
@@ -28,12 +45,14 @@ def is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < 1681:  # 41**2: a composite this small has a prime factor <= 37
+        return True
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[: _MR_TIER_SIZES[bisect_right(_MR_TIER_BOUNDS, n)]]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

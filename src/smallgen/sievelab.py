@@ -5,6 +5,8 @@ computed exactly by striking out the multiples of every prime outside P; the
 inclusion-exclusion prediction x * prod_{p not in P} (1 - 1/p) and the
 harmonic hypothesis sum are evaluated from the realized prime sets directly.
 Every sieve goes through prime_flags, which refuses limits over SIEVE_LIMIT.
+p_minus_one_divisors factors p - 1 for many primes at once, by one
+vectorized trial division per chunk of primes.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .modcore import FieldSpec, is_prime
 SIEVE_LIMIT = 10**8  # one flag per integer: about 100 MB at the cap
 
 _SEGMENT_SPAN = 1 << 22
+_DIVISOR_CHUNK = 1024  # primes per pass of p_minus_one_divisors
 
 
 class ResourceLimitError(RuntimeError):
@@ -69,6 +72,46 @@ def prime_flags(limit: int) -> np.ndarray:
 def primes_upto(limit: int) -> np.ndarray:
     """All primes <= limit, ascending."""
     return np.flatnonzero(prime_flags(limit)).astype(np.int64)
+
+
+def p_minus_one_divisors(primes):
+    """Yield (p, divisors) for each p in primes, in order, where divisors holds
+    the (q, alpha) pairs of p - 1 with q increasing: FieldSpec's divisors.
+
+    A vectorized trial division over chunks of _DIVISOR_CHUNK primes: each
+    prime q <= sqrt(max p - 1) is divided out of the chunk's p - 1 at once,
+    and a remainder above 1 is the one prime factor above that bound.  The
+    cost is pi(sqrt(p_max)) array operations per chunk, and the working
+    arrays are bounded by the chunk, not by the range.
+    """
+    primes = np.asarray(primes, dtype=np.int64)
+    if primes.size == 0:
+        return
+    if int(primes.min()) < 2:
+        raise ValueError(f"p - 1 must be >= 1, got p = {int(primes.min())}")
+    base = primes_upto(math.isqrt(int(primes.max()) - 1)).tolist()
+    for lo in range(0, primes.size, _DIVISOR_CHUNK):
+        chunk = primes[lo : lo + _DIVISOR_CHUNK]
+        rem = chunk - 1
+        divisors = [[] for _ in range(chunk.size)]
+        for q in base:
+            idx = np.flatnonzero(rem % q == 0)
+            if idx.size == 0:
+                continue
+            sub = rem[idx] // q
+            alpha = np.ones(idx.size, dtype=np.int64)
+            hit = sub % q == 0
+            while hit.any():
+                sub[hit] //= q
+                alpha += hit
+                hit = sub % q == 0
+            rem[idx] = sub
+            for i, a in zip(idx.tolist(), alpha.tolist()):
+                divisors[i].append((q, a))
+        for p, pairs, r in zip(chunk.tolist(), divisors, rem.tolist()):
+            if r > 1:
+                pairs.append((r, 1))
+            yield p, tuple(pairs)
 
 
 @dataclass(frozen=True)

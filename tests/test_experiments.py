@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from smallgen.experiments import (
     survey_csv,
     survey_row,
 )
-from smallgen import anatomy, experiments, genset, modcore
+from smallgen import anatomy, experiments, genset, modcore, sievelab
 from smallgen.genset import generates
 from smallgen.modcore import factorize, field_spec
 from smallgen.sievelab import ResourceLimitError, primes_upto
@@ -86,9 +87,13 @@ def test_survey_stride_sampling():
 
 
 def test_survey_threads_deterministic(rows_50):
-    rows_mt = survey(3, 50, l_values=(2.0, 3.0), threads=2)
-    assert rows_mt == rows_50
-    assert survey_csv(rows_mt) == survey_csv(rows_50)
+    # 3..10000 holds 1228 primes, more than one chunk of the batch divisor pass.
+    rows_10k = survey(3, 10_000)
+    assert len(rows_10k) > sievelab._DIVISOR_CHUNK
+    for p_max, rows in ((50, rows_50), (10_000, rows_10k)):
+        rows_mt = survey(3, p_max, l_values=(2.0, 3.0), threads=2)
+        assert rows_mt == rows
+        assert survey_csv(rows_mt) == survey_csv(rows)
 
 
 def test_survey_row_matches_batch(rows_50):
@@ -130,6 +135,32 @@ def test_survey_row_factorizes_once(monkeypatch):
     rows = [survey_row(p) for p in primes]
     assert factored == [p - 1 for p in primes]
     assert [row.omega for row in rows] == [2, 2, 2, 2, 15]
+
+
+def test_survey_factorizes_nothing_and_checks_every_field(monkeypatch):
+    # The batch pass hands each row the divisors of p - 1, so no row
+    # factorizes, and FieldSpec still tests p and each q of p - 1 once.
+    expected = Counter()
+    for p in primes_upto(3000)[1:].tolist():
+        expected.update([p] + [q for q, _ in factorize(p - 1)])
+    factored, tested = [], Counter()
+    is_prime = modcore.is_prime
+
+    def counting_factorize(n):
+        factored.append(n)
+        return factorize(n)
+
+    def counting_is_prime(n):
+        tested[n] += 1
+        return is_prime(n)
+
+    for module in (modcore, anatomy):
+        monkeypatch.setattr(module, "factorize", counting_factorize)
+    monkeypatch.setattr(modcore, "is_prime", counting_is_prime)
+    rows = survey(3, 3000)
+    assert len(rows) == 429
+    assert factored == []
+    assert tested == expected
 
 
 def test_survey_builds_no_certificate(monkeypatch):

@@ -12,6 +12,7 @@ from smallgen.modcore import (
     multiplicative_order,
     residue_signature,
 )
+from smallgen.sievelab import prime_flags
 
 
 def trial_division_is_prime(n):
@@ -44,6 +45,69 @@ def test_is_prime_against_trial_division():
 def test_is_prime_large():
     assert is_prime(2**61 - 1)
     assert not is_prime((2**31 - 1) * (2**31 + 11))
+
+
+WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def strong_probable_prime(n, bases):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def twelve_witness_is_prime(n):
+    """The reference: trial division by all 12 witnesses, then all 12 strong tests."""
+    if n < 2:
+        return False
+    for p in WITNESSES:
+        if n % p == 0:
+            return n == p
+    return strong_probable_prime(n, WITNESSES)
+
+
+def test_is_prime_matches_sieve_below_2e6():
+    n_max = 2_000_000
+    assert [is_prime(n) for n in range(n_max)] == prime_flags(n_max - 1).tolist()
+
+
+# Odd n spread over every bit length up to 63, so each witness tier is drawn.
+@given(st.integers(1, 63).flatmap(lambda bits: st.integers(0, 2 ** (bits - 1) - 1)).map(lambda k: 2 * k + 1))
+@settings(max_examples=1000)
+def test_is_prime_matches_twelve_witnesses(n):
+    assert is_prime(n) == twelve_witness_is_prime(n)
+
+
+# (bound, k): below bound the first k witnesses decide, and bound is the least
+# strong pseudoprime to them, so a tier that took n <= bound would pass it.
+@pytest.mark.parametrize(
+    "bound, k",
+    [
+        (2047, 1),
+        (1373653, 2),
+        (25326001, 3),
+        (3215031751, 4),
+        (2152302898747, 5),
+        (3474749660383, 6),
+        (341550071728321, 7),
+        (3825123056546413051, 9),
+    ],
+)
+def test_is_prime_false_at_tier_bounds(bound, k):
+    assert strong_probable_prime(bound, WITNESSES[:k])
+    assert not is_prime(bound)
 
 
 def test_factorize_examples():
@@ -180,6 +244,21 @@ def test_field_spec_tests_p_once(monkeypatch):
     f = field_spec(10007)  # 10006 = 2 * 5003
     assert f.divisors == ((2, 1), (5003, 1))
     assert tested.count(10007) == 1
+
+
+def test_field_spec_checks_supplied_divisors():
+    # Callers that factor p - 1 themselves (the survey's batch pass) get every
+    # check.  1373653 and 341550071728321 (as q) and 3825123056546413051 (as p)
+    # are strong pseudoprimes to the witnesses of the tier below them.
+    for p, divisors, named in [
+        (31, ((2, 1), (15, 1)), "divisor 15 is not prime"),
+        (5494613, ((2, 2), (1373653, 1)), "divisor 1373653 is not prime"),
+        (6147901291109779, ((2, 1), (3, 2), (341550071728321, 1)), "divisor 341550071728321 is not prime"),
+        (3825123056546413051, ((2, 1),), "odd prime, got 3825123056546413051"),
+        (31, ((2, 1), (3, 1), (5, 0)), "multiplicities must be >= 1"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(named)):
+            FieldSpec(p, divisors)
 
 
 def test_field_spec_rejects_bad_input():

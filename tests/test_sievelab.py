@@ -7,13 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from smallgen import sievelab
 from smallgen.cli import run
-from smallgen.modcore import field_spec, is_prime
+from smallgen.modcore import factorize, field_spec, is_prime
 from smallgen.sievelab import (
     PrimeSetSpec,
     ResourceLimitError,
     complement_product,
     dickman_rho,
     mertens_sum,
+    p_minus_one_divisors,
     prime_flags,
     primes_upto,
     psi_count,
@@ -34,6 +35,35 @@ def test_prime_flags_against_miller_rabin():
     flags = prime_flags(10**4)
     for n in range(10**4 + 1):
         assert bool(flags[n]) == is_prime(n), n
+
+
+def test_p_minus_one_divisors_match_factorize():
+    # Every odd prime to 1e5, then 2000 consecutive primes from each of three
+    # seeded points below 1e8 (found by is_prime, so nothing sieves to 1e8).
+    # Each range spans more than one chunk of the batch pass.
+    windows = [primes_upto(10**5)[1:]]
+    rng = random.Random(12)
+    for _ in range(3):
+        n = rng.randrange(10**6, 10**8 - 50_000) | 1
+        window = []
+        while len(window) < 2000:
+            if is_prime(n):
+                window.append(n)
+            n += 2
+        windows.append(np.array(window, dtype=np.int64))
+    for window in windows:
+        assert window.size > sievelab._DIVISOR_CHUNK
+        got = list(p_minus_one_divisors(window))
+        assert [p for p, _ in got] == window.tolist()
+        for p, divisors in got:
+            assert divisors == tuple(factorize(p - 1)), p
+
+
+def test_p_minus_one_divisors_edges():
+    assert list(p_minus_one_divisors(np.array([], dtype=np.int64))) == []
+    assert list(p_minus_one_divisors([2, 3, 97])) == [(2, ()), (3, ((2, 1),)), (97, ((2, 5), (3, 1)))]
+    with pytest.raises(ValueError):
+        list(p_minus_one_divisors([1, 7]))  # p - 1 = 0 has no factorization
 
 
 def test_segmented_matches_simple():
