@@ -275,6 +275,42 @@ def test_density_cross_check_exact():
         assert [r.degenerate for r in rows] == [x == 7 and r.l == 1.0 for r in rows]
 
 
+def test_density_blocked_counts_match_unblocked():
+    # x spans four blocks, so the blocked counts start at nonzero offsets;
+    # the oracle counts p = 1 mod q over the whole bitmap, one pass per q.
+    x = 3 * sievelab._SEGMENT_SPAN + 12345
+    rows = density_experiment(x, [1.0, 2.0, 3.0, 150.0])
+    flags = sievelab.prime_flags(x)
+    primes = np.flatnonzero(flags)
+    for r in rows:
+        qs = primes[primes <= r.threshold].tolist()
+        total = sum(int(np.count_nonzero(flags[1::q])) for q in qs)
+        assert r.empirical_mean == total / primes.size, r.l
+    assert math.isinf(rows[-1].threshold)  # l = 150: every prime <= x is a q
+
+
+def test_density_blocks_only_small_strides(monkeypatch):
+    # With l = 150 every prime <= x is a q.  Only the strides up to
+    # _BLOCKED_STRIDE_MAX are counted per block, so the counting calls stay
+    # within pi(x) + (blocked strides) * (blocks); blocking every q would
+    # make about pi(x) * (blocks).
+    x = 3 * sievelab._SEGMENT_SPAN + 12345
+    primes = primes_upto(x)
+    blocked = int(np.count_nonzero(np.where(primes == 2, 2, 2 * primes) <= experiments._BLOCKED_STRIDE_MAX))
+    blocks = -(-(x + 1) // sievelab._SEGMENT_SPAN)
+    calls = Counter()
+    count_nonzero = np.count_nonzero
+
+    def spy(*args, **kwargs):
+        calls["count_nonzero"] += 1
+        return count_nonzero(*args, **kwargs)
+
+    monkeypatch.setattr(np, "count_nonzero", spy)
+    density_experiment(x, [150.0])
+    assert blocks == 4 and 0 < blocked < primes.size
+    assert calls["count_nonzero"] <= primes.size + blocked * blocks
+
+
 def test_density_known_row():
     (r,) = density_experiment(10**6, [3.0])
     assert math.isclose(r.threshold, math.log(10**6) * 27)

@@ -67,10 +67,11 @@ def test_p_minus_one_divisors_edges():
 
 
 def test_segmented_matches_simple():
-    # every small limit, and the limits around one segment span
+    # every small limit, and the limits around the first three segment ends
     from smallgen.sievelab import _SEGMENT_SPAN, _simple_prime_flags
 
-    for limit in [*range(3000), _SEGMENT_SPAN - 1, _SEGMENT_SPAN, _SEGMENT_SPAN + 1]:
+    ends = [k * _SEGMENT_SPAN + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+    for limit in [*range(3000), *ends]:
         assert np.array_equal(prime_flags(limit), _simple_prime_flags(limit)), limit
 
 
@@ -152,6 +153,24 @@ def test_psi_against_sieve_oracle():
 
     assert psi_count(PrimeSetSpec.threshold(10**4, 2.0)) == smooth_count(10**4, 100) == 3716
     assert psi_count(PrimeSetSpec.threshold(10**4, 3.0)) == smooth_count(10**4, 21) == 1169
+
+
+def test_psi_blocked_strike_matches_unblocked():
+    # x spans four blocks, so every outside prime <= sqrt(x) strikes at a
+    # nonzero block offset; the oracle strikes each outside prime's multiples
+    # over the whole array at once.
+    x = 3 * sievelab._SEGMENT_SPAN + 12345
+    specs = [
+        PrimeSetSpec.residue(x, field_spec(31), 0),
+        PrimeSetSpec.explicit(x, [2, 3, 5, 7, 1009, 1777, 3_000_017]),
+    ]
+    for spec in specs:
+        outside = spec.complement()
+        assert np.count_nonzero(outside <= math.isqrt(x)) > 100  # the blocked strikers
+        keep = np.ones(x + 1, dtype=bool)
+        for p in outside.tolist():
+            keep[p::p] = False
+        assert psi_count(spec) == int(np.count_nonzero(keep[1:])), spec
 
 
 def test_psi_resource_cap():
