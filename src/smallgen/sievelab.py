@@ -1,9 +1,11 @@
 """Desk-scale sieve diagnostics: exact smooth counts, Mertens sums, Dickman rho.
 
+Each prime set P is one sieve of [0, x], split into P and its complement.
 Psi(x; P) counts integers up to x all of whose prime factors lie in P,
-computed exactly by striking out the multiples of every prime outside P; the
+computed exactly by striking out the multiples of the primes outside P up to
+sqrt(x) and subtracting the survivors that the larger ones divide; the
 inclusion-exclusion prediction x * prod_{p not in P} (1 - 1/p) and the
-harmonic hypothesis sum are evaluated from the realized prime sets directly.
+harmonic hypothesis sum are evaluated from the same split directly.
 Every sieve goes through prime_flags, which refuses limits over SIEVE_LIMIT.
 p_minus_one_divisors factors p - 1 for many primes at once, by one
 vectorized trial division per chunk of primes.
@@ -157,52 +159,48 @@ class PrimeSetSpec:
 
     def realize(self) -> np.ndarray:
         """The realized prime set, ascending (read-only array)."""
-        return _realize(self)
+        return _split(self)[0]
 
     def complement(self) -> np.ndarray:
         """Primes <= x missing from the realized set, ascending (read-only array)."""
-        return _complement(self)
+        return _split(self)[1]
 
 
-@lru_cache(maxsize=64)
-def _realize(spec: PrimeSetSpec) -> np.ndarray:
+# realize() and complement() split one sieve of [0, x], so the mertens_sum,
+# psi_count and complement_product of one check share it.
+@lru_cache(maxsize=1)
+def _split(spec: PrimeSetSpec) -> tuple[np.ndarray, np.ndarray]:
+    primes = primes_upto(spec.x)
     if spec.kind == "threshold":
         limit = math.exp(math.log(spec.x) / spec.u) if spec.x > 1 else 1.0
-        arr = primes_upto(int(limit * (1.0 + 1e-12)))
+        inside = primes <= int(limit * (1.0 + 1e-12))
     elif spec.kind == "residue":
         field = spec.field
         p = field.p
         q, _ = field.divisors[spec.divisor_index]
         exp = (p - 1) // q
-        primes = primes_upto(spec.x)
         # One pow per residue class; class 0 (t = p) gives pow(0, exp, p) = 0.
         residues = primes % p
         hits = [c for c in np.unique(residues).tolist() if pow(c, exp, p) == 1]
-        arr = primes[np.isin(residues, hits)]
+        inside = np.isin(residues, hits)
     elif spec.kind == "explicit":
-        arr = np.array(spec.members, dtype=np.int64)
+        inside = np.isin(primes, spec.members)
     else:
         raise ValueError(f"unknown prime set kind {spec.kind!r}")
-    arr.flags.writeable = False
-    return arr
-
-
-# psi_count and complement_product of one check share this sieve of [0, x].
-@lru_cache(maxsize=1)
-def _complement(spec: PrimeSetSpec) -> np.ndarray:
-    flags = prime_flags(spec.x)
-    flags[spec.realize()] = False
-    arr = np.flatnonzero(flags)
-    arr.flags.writeable = False
-    return arr
+    parts = primes[inside], primes[~inside]
+    for arr in parts:
+        arr.flags.writeable = False
+    return parts
 
 
 def psi_count(spec: PrimeSetSpec) -> int:
     """Exact number of integers <= x whose prime factors all lie in the set.
 
-    Counts n = 1 as well; strikes out every multiple of every prime outside
-    the set and counts the survivors, so the work is bounded by x.  The
-    outside primes <= sqrt(x) strike one _SEGMENT_SPAN block at a time.
+    Counts n = 1 as well.  Strikes out the multiples of every outside prime
+    <= sqrt(x), one _SEGMENT_SPAN block at a time, so the work is bounded by
+    x.  A survivor has at most one prime factor above sqrt(x), so those an
+    outside prime p > sqrt(x) would strike are the k * p with k <= x // p
+    and k still kept: they are counted and subtracted, not struck.
     """
     x = spec.x
     outside = spec.complement()
@@ -213,12 +211,10 @@ def psi_count(spec: PrimeSetSpec) -> int:
     for lo in range(0, x + 1, _SEGMENT_SPAN):
         block = keep[lo : lo + _SEGMENT_SPAN]
         for p in small:
-            block[(-lo) % p :: p] = False  # also strikes 0, which is not counted
-    # A multiple k * p <= x of a prime p > sqrt(x) has k <= sqrt(x).
-    big = outside[split:]
-    for k in range(1, root + 1):
-        keep[k * big[: int(np.searchsorted(big, x // k, side="right"))]] = False
-    return int(keep[1:].sum())
+            block[(-lo) % p :: p] = False
+    k = np.flatnonzero(keep[1 : root + 1]) + 1
+    struck = np.searchsorted(outside[split:], x // k, side="right").sum()
+    return int(np.count_nonzero(keep[1:]) - struck)
 
 
 def mertens_sum(spec: PrimeSetSpec, lo: float, hi: float) -> float:
@@ -328,7 +324,8 @@ def sieve_bound_check(spec: PrimeSetSpec, u: float, v: float, epsilon: float) ->
         raise ValueError(f"need u <= v, got u={u} v={v}")
     x = spec.x
     if x > SIEVE_LIMIT:
-        # Before mertens_sum, whose realize() would sieve to x**(1/u) first.
+        # realize() would have prime_flags refuse x as well; refusing here
+        # first makes no primes_upto call at all.
         raise ResourceLimitError(f"sieve_bound_check sieves to x; capped at x={SIEVE_LIMIT:.0e}")
     lo = x ** (1.0 / v)
     hi = x ** (1.0 / u)

@@ -155,22 +155,40 @@ def test_psi_against_sieve_oracle():
     assert psi_count(PrimeSetSpec.threshold(10**4, 3.0)) == smooth_count(10**4, 21) == 1169
 
 
+def strike_oracle(spec):
+    """Psi by striking each outside prime's multiples over the whole array."""
+    keep = np.ones(spec.x + 1, dtype=bool)
+    for p in spec.complement().tolist():
+        keep[p::p] = False
+    return int(np.count_nonzero(keep[1:]))
+
+
 def test_psi_blocked_strike_matches_unblocked():
     # x spans four blocks, so every outside prime <= sqrt(x) strikes at a
-    # nonzero block offset; the oracle strikes each outside prime's multiples
-    # over the whole array at once.
+    # nonzero block offset.
     x = 3 * sievelab._SEGMENT_SPAN + 12345
     specs = [
         PrimeSetSpec.residue(x, field_spec(31), 0),
         PrimeSetSpec.explicit(x, [2, 3, 5, 7, 1009, 1777, 3_000_017]),
     ]
     for spec in specs:
-        outside = spec.complement()
-        assert np.count_nonzero(outside <= math.isqrt(x)) > 100  # the blocked strikers
-        keep = np.ones(x + 1, dtype=bool)
-        for p in outside.tolist():
-            keep[p::p] = False
-        assert psi_count(spec) == int(np.count_nonzero(keep[1:])), spec
+        assert np.count_nonzero(spec.complement() <= math.isqrt(x)) > 100  # the blocked strikers
+        assert psi_count(spec) == strike_oracle(spec), spec
+
+
+def test_psi_counts_big_primes_like_striking():
+    # The outside primes above sqrt(x) are counted, not struck: with x around
+    # 1009**2 the split between the two kinds sits at p = isqrt(x), and 1009
+    # moves from one side to the other.
+    for x in (3 * sievelab._SEGMENT_SPAN + 12345, 1009**2 - 1, 1009**2, 1009**2 + 1):
+        all_but_1009 = [p for p in primes_upto(x).tolist() if p != 1009]
+        specs = [
+            PrimeSetSpec.threshold(x, 2.0),
+            PrimeSetSpec.threshold(x, 1.3),
+            PrimeSetSpec.explicit(x, all_but_1009),
+        ]
+        for spec in specs:
+            assert psi_count(spec) == strike_oracle(spec), spec
 
 
 def test_psi_resource_cap():
@@ -241,6 +259,8 @@ def test_every_sieve_refuses_past_the_cap(monkeypatch):
         lambda: mertens_sum(PrimeSetSpec.threshold(x, 1), 0, 10),
         lambda: complement_product(PrimeSetSpec.explicit(x, [2])),
         lambda: PrimeSetSpec.residue(x, field_spec(7), 0).realize(),
+        lambda: PrimeSetSpec.threshold(x, 2).realize(),
+        lambda: PrimeSetSpec.explicit(x, [2]).realize(),
     ):
         with pytest.raises(ResourceLimitError):
             call()
@@ -445,19 +465,27 @@ def test_sieve_bound_check_caps_before_sieving(monkeypatch, capsys):
 
 
 def test_sieve_bound_check_sieves_once(monkeypatch):
-    # psi_count and complement_product share one sieve of [0, x].
+    # mertens_sum, psi_count and complement_product share one sieve of [0, x]
+    # for every kind of prime set.
     limits = []
 
     def spy(limit):
         limits.append(limit)
         return prime_flags(limit)
 
-    sievelab._realize.cache_clear()
-    sievelab._complement.cache_clear()
     monkeypatch.setattr(sievelab, "prime_flags", spy)
-    rep = sieve_bound_check(PrimeSetSpec.threshold(10**7, 2), 2, 10, 0.1)
-    assert rep.psi == 3362157
-    assert limits.count(10**7) == 1
+    specs = [
+        PrimeSetSpec.threshold(10**7, 2),
+        PrimeSetSpec.residue(10**6, field_spec(31), 0),
+        PrimeSetSpec.explicit(10**6, [2, 3, 5, 7, 1009]),
+    ]
+    psis = []
+    for spec in specs:
+        sievelab._split.cache_clear()
+        limits.clear()
+        psis.append(sieve_bound_check(spec, 1, 2, 0.1).psi)
+        assert limits == [spec.x], spec
+    assert psis[0] == 3362157
 
 
 def test_hypothesis_sum_is_plain_mertens_sum():
