@@ -156,31 +156,32 @@ def survey(
 def density_experiment(x: int, l_values) -> list[DensityRow]:
     """Average over primes p <= x of #{prime q | p-1 : q <= (ln x) l**l}.
 
-    The count is taken per divisor prime q as the number of primes p <= x in
-    the progression p = 1 mod 2q (p = 1 mod 2 for q = 2), read off a sieve
-    bitmap.  Strides up to _BLOCKED_STRIDE_MAX are counted together, one
-    _SEGMENT_SPAN block of the bitmap at a time, so the bitmap streams
-    through the cache once for all of them; each larger stride takes one
-    pass over the whole bitmap.  Predictions are ln ln T + M and the finite
-    harmonic sum over 1/(q-1), reported side by side.
+    The count is taken per divisor prime q as the number of primes p <= x
+    with p = 1 mod q, read off prime_flags' odd-number flags: 2 is 1 mod no
+    q, every odd prime is 1 mod 2, and for odd q an odd prime 2i + 1 is
+    1 mod q iff q divides i, so q's count is that of the flags at stride q
+    (stride 1 for q = 2).  Strides up to _BLOCKED_STRIDE_MAX are counted
+    together, one _SEGMENT_SPAN block of the flags at a time, so the flags
+    stream through the cache once for all of them; each larger stride takes
+    one pass over the whole array.  Predictions are ln ln T + M and the
+    finite harmonic sum over 1/(q-1), reported side by side.
     """
     if x < 3:
         raise ValueError(f"x must be >= 3, got {x}")
     thresholds = [(l, smallness_threshold(x - 1, l)) for l in map(float, l_values)]
-    flags = prime_flags(x)
-    n_primes = int(np.count_nonzero(flags))
-    t_max = max((threshold for _, threshold in thresholds), default=0.0)
-    qs = np.flatnonzero(flags[: int(min(t_max, x)) + 1])  # t_max is inf at large l
-    # An odd prime is 1 mod an odd q iff it is 1 mod 2q, and 2 is 1 mod no
-    # q >= 2, so stride 2q counts the same primes as stride q in half the flags.
-    strides = np.where(qs == 2, 2, 2 * qs).tolist()
+    flags = prime_flags(x)  # flags[i] iff 2i + 1 is prime
+    n_primes = int(np.count_nonzero(flags)) + 1  # and 2
+    top = int(min(max((t for _, t in thresholds), default=0.0), x))  # thresholds are inf at large l
+    two = np.array([2] if top >= 2 else [], dtype=np.int64)
+    qs = np.concatenate((two, 2 * np.flatnonzero(flags[: (top + 1) // 2]) + 1))
+    strides = np.where(qs == 2, 1, qs).tolist()
     cut = bisect.bisect_right(strides, _BLOCKED_STRIDE_MAX)
     tallies = [0] * cut
-    for lo in range(0, x + 1, _SEGMENT_SPAN):
+    for lo in range(0, flags.size, _SEGMENT_SPAN):
         block = flags[lo : lo + _SEGMENT_SPAN]
         for i, m in enumerate(strides[:cut]):
-            tallies[i] += np.count_nonzero(block[(1 - lo) % m :: m])
-    tallies += [np.count_nonzero(flags[1::m]) for m in strides[cut:]]
+            tallies[i] += np.count_nonzero(block[(-lo) % m :: m])
+    tallies += [np.count_nonzero(flags[::m]) for m in strides[cut:]]
     # counts[k] = #{primes p <= x : p = 1 mod q} summed over the first k q's.
     counts = np.cumsum([0] + tallies)
     rows = []

@@ -271,16 +271,21 @@ def test_density_cross_check_exact():
         for r in rows:
             slow = density_mean_by_factorization(x, r.l)
             assert r.empirical_mean == slow  # identical double count, exact equality
+            # x = 7, l = 2 has threshold 7.78, so the last q is x itself
+            qs = [q for q in primes_upto(x).tolist() if q <= r.threshold]
+            assert r.prediction_harmonic == math.fsum(1.0 / (q - 1) for q in qs)
             assert to_json(density_experiment(x, [r.l])) == to_json([r])
         assert [r.degenerate for r in rows] == [x == 7 and r.l == 1.0 for r in rows]
 
 
 def test_density_blocked_counts_match_unblocked():
-    # x spans four blocks, so the blocked counts start at nonzero offsets;
-    # the oracle counts p = 1 mod q over the whole bitmap, one pass per q.
-    x = 3 * sievelab._SEGMENT_SPAN + 12345
+    # x's odd flags span four blocks, so the blocked counts start at nonzero
+    # offsets; the oracle counts p = 1 mod q over the whole bitmap of every
+    # integer <= x, one pass per q.
+    x = 7 * sievelab._SEGMENT_SPAN + 12345
+    assert -(-((x + 1) // 2) // sievelab._SEGMENT_SPAN) == 4
     rows = density_experiment(x, [1.0, 2.0, 3.0, 150.0])
-    flags = sievelab.prime_flags(x)
+    flags = sievelab._simple_prime_flags(x)
     primes = np.flatnonzero(flags)
     for r in rows:
         qs = primes[primes <= r.threshold].tolist()
@@ -293,11 +298,12 @@ def test_density_blocks_only_small_strides(monkeypatch):
     # With l = 150 every prime <= x is a q.  Only the strides up to
     # _BLOCKED_STRIDE_MAX are counted per block, so the counting calls stay
     # within pi(x) + (blocked strides) * (blocks); blocking every q would
-    # make about pi(x) * (blocks).
-    x = 3 * sievelab._SEGMENT_SPAN + 12345
+    # make about pi(x) * (blocks).  The flags are of odd n, so q's stride is
+    # q (1 for q = 2) and a block spans 2 * _SEGMENT_SPAN integers.
+    x = 7 * sievelab._SEGMENT_SPAN + 12345
     primes = primes_upto(x)
-    blocked = int(np.count_nonzero(np.where(primes == 2, 2, 2 * primes) <= experiments._BLOCKED_STRIDE_MAX))
-    blocks = -(-(x + 1) // sievelab._SEGMENT_SPAN)
+    blocked = int(np.count_nonzero(np.where(primes == 2, 1, primes) <= experiments._BLOCKED_STRIDE_MAX))
+    blocks = -(-((x + 1) // 2) // sievelab._SEGMENT_SPAN)
     calls = Counter()
     count_nonzero = np.count_nonzero
 

@@ -80,7 +80,9 @@ def twelve_witness_is_prime(n):
 
 def test_is_prime_matches_sieve_below_2e6():
     n_max = 2_000_000
-    assert [is_prime(n) for n in range(n_max)] == prime_flags(n_max - 1).tolist()
+    flags = prime_flags(n_max - 1)  # flags[i] iff 2i + 1 is prime
+    assert [is_prime(n) for n in range(1, n_max, 2)] == flags.tolist()
+    assert [is_prime(n) for n in range(0, n_max, 2)] == [n == 2 for n in range(0, n_max, 2)]
 
 
 # Odd n spread over every bit length up to 63, so each witness tier is drawn.

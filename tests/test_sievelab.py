@@ -29,12 +29,19 @@ from smallgen.sievelab import (
 def test_primes_upto_small():
     assert primes_upto(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert primes_upto(1).size == 0
+    # One flag per odd n <= limit; 2 comes from primes_upto alone.
+    for limit in range(65):
+        assert prime_flags(limit).size == (limit + 1) // 2, limit
+        primes = primes_upto(limit)
+        assert primes.tolist() == [n for n in range(limit + 1) if is_prime(n)], limit
+        assert primes.dtype == np.int64
 
 
 def test_prime_flags_against_miller_rabin():
     flags = prime_flags(10**4)
-    for n in range(10**4 + 1):
-        assert bool(flags[n]) == is_prime(n), n
+    assert flags.size == 5000
+    for i in range(flags.size):
+        assert bool(flags[i]) == is_prime(2 * i + 1), 2 * i + 1
 
 
 def test_p_minus_one_divisors_match_factorize():
@@ -67,12 +74,13 @@ def test_p_minus_one_divisors_edges():
 
 
 def test_segmented_matches_simple():
-    # every small limit, and the limits around the first three segment ends
+    # every small limit, and the limits around the first three segment ends;
+    # a segment of odd flags spans 2 * _SEGMENT_SPAN integers
     from smallgen.sievelab import _SEGMENT_SPAN, _simple_prime_flags
 
-    ends = [k * _SEGMENT_SPAN + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+    ends = [2 * k * _SEGMENT_SPAN + d for k in (1, 2, 3) for d in range(-2, 3)]
     for limit in [*range(3000), *ends]:
-        assert np.array_equal(prime_flags(limit), _simple_prime_flags(limit)), limit
+        assert np.array_equal(prime_flags(limit), _simple_prime_flags(limit)[1::2]), limit
 
 
 # ---------------------------------------------------------------------------
