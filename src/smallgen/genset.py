@@ -164,9 +164,21 @@ def _combine(coverage: dict[int, int], field: FieldSpec) -> int:
 
 
 def elementary_generating_set(table: CandidateTable) -> tuple[int, ...]:
-    """One element per divisor: the smallest q_i-th non-residue for each q_i, ascending."""
-    masks = table.masks
-    return tuple(sorted({next(n for n in masks if masks[n] >> i & 1) for i in range(table.field.r)}))
+    """One element per divisor: the smallest q_i-th non-residue for each q_i, ascending.
+
+    One pass over the masks in ascending n: an n is the smallest non-residue
+    for some q_i exactly when its mask adds a bit the smaller n left uncovered.
+    """
+    full = (1 << table.field.r) - 1
+    covered = 0
+    picks = []
+    for n, mask in table.masks.items():
+        if mask & ~covered:
+            picks.append(n)
+            covered |= mask
+            if covered == full:
+                break
+    return tuple(picks)
 
 
 def greedy_block_generating_set(table: CandidateTable) -> tuple[int, ...]:

@@ -6,9 +6,12 @@ computed exactly by striking out the multiples of the primes outside P up to
 sqrt(x) and subtracting the survivors that the larger ones divide; the
 inclusion-exclusion prediction x * prod_{p not in P} (1 - 1/p) and the
 harmonic hypothesis sum are evaluated from the same split directly.
-Every sieve goes through prime_flags, which keeps one flag per odd number and
-refuses limits over SIEVE_LIMIT.  p_minus_one_divisors factors p - 1 for many
-primes at once, by one vectorized trial division per chunk of primes.
+Every sieve is one private generator, _odd_blocks, which keeps one flag per
+odd number, strikes them one _SEGMENT_SPAN block at a time and refuses limits
+over SIEVE_LIMIT: prime_flags fills its array with it, and psi_count and
+experiments.density_experiment stream its blocks without holding an x-sized
+array.  p_minus_one_divisors factors p - 1 for many primes at once, by one
+vectorized trial division per chunk of primes.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ SIEVE_LIMIT = 10**8  # one flag per odd integer: about 50 MB at the cap
 # 1 MiB of odd flags per segment (2 MiB of integers) fits a core's L2 cache.
 # On a 2-vCPU Xeon VM with 2 MiB of L2 per core, prime_flags(1e8) took a
 # median 0.14-0.16 s with 1 MiB segments, 0.18-0.20 s with 512 KiB and
-# 0.16-0.21 s with 2 MiB.  density_experiment and psi_count walk their flag
-# arrays in blocks of the same span.
+# 0.16-0.21 s with 2 MiB.  It is also the block that density_experiment and
+# psi_count read while the sieve streams, so it bounds their working memory.
 _SEGMENT_SPAN = 1 << 20
 _DIVISOR_CHUNK = 1024  # primes per pass of p_minus_one_divisors
 
@@ -47,27 +50,67 @@ def _simple_prime_flags(limit: int) -> np.ndarray:
     return flags
 
 
-def prime_flags(limit: int) -> np.ndarray:
-    """Boolean array f of (limit + 1) // 2 odd-number flags: f[i] iff 2i + 1 is
-    prime.  Filled by a segmented sieve over the odd numbers; 2 has no flag.
+def _odd_count(limit: int) -> int:
+    """(limit + 1) // 2, the number of odd n <= limit, once the sieve accepts limit.
 
-    Raises ResourceLimitError, before allocating, when limit > SIEVE_LIMIT.
+    Raises ValueError for limit < 0 and ResourceLimitError for limit > SIEVE_LIMIT.
     """
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     if limit > SIEVE_LIMIT:
         raise ResourceLimitError(f"sieving to {limit} exceeds the cap {SIEVE_LIMIT:.0e}")
-    base_odd = np.flatnonzero(_simple_prime_flags(math.isqrt(limit)))[1:].tolist()
-    flags = np.ones((limit + 1) // 2, dtype=bool)
-    flags[:1] = False  # 1 is not prime; a slice, so limit 0 needs no branch
-    # p's odd multiples sit at the indices i = p // 2 (mod p); striking starts at p * p.
-    for lo in range(0, flags.size, _SEGMENT_SPAN):
-        block = flags[lo : lo + _SEGMENT_SPAN]
-        for p in base_odd:
-            start = p * p // 2 - lo
-            if start >= _SEGMENT_SPAN:
-                break
-            block[max(start, (p // 2 - lo) % p) :: p] = False
+    return (limit + 1) // 2
+
+
+def _odd_blocks(limit: int, outside=None, out=None):
+    """Sieve the odd n <= limit one _SEGMENT_SPAN block of flags at a time
+    (index i <-> n = 2i + 1) and yield (lo, block), lo the block's first index.
+
+    With outside None this is the prime sieve: every odd prime p <= sqrt(limit)
+    strikes its odd multiples from p * p, so p keeps its flag, and 1 is struck.
+    Otherwise outside lists primes <= sqrt(limit), ascending; each odd one
+    strikes from p itself and 1 is kept, so a kept n has no such prime
+    factor.  The blocks are views of out, an array of (limit + 1) // 2 flags,
+    when it is given, else of one reused block; either way a block is valid
+    until the next is asked for.  The limit is checked here, before any
+    allocation and before the first block is asked for.
+    """
+    n = _odd_count(limit)
+    root = math.isqrt(limit)
+    if outside is None:
+        strikers = np.flatnonzero(_simple_prime_flags(root))[1:].tolist()
+        firsts = [p * p // 2 for p in strikers]
+    else:
+        strikers = [p for p in outside.tolist() if p != 2]
+        firsts = [p // 2 for p in strikers]
+    buf = np.empty(min(n, _SEGMENT_SPAN), dtype=bool) if out is None else None
+
+    def blocks():
+        for lo in range(0, n, _SEGMENT_SPAN):
+            block = buf[: n - lo] if out is None else out[lo : lo + _SEGMENT_SPAN]
+            block[:] = True
+            if lo == 0 and outside is None:
+                block[0] = False
+            # p's odd multiples sit at the indices i = p // 2 (mod p).
+            for p, first in zip(strikers, firsts):
+                start = first - lo
+                if start >= _SEGMENT_SPAN:
+                    break
+                block[max(start, (p // 2 - lo) % p) :: p] = False
+            yield lo, block
+
+    return blocks()
+
+
+def prime_flags(limit: int) -> np.ndarray:
+    """Boolean array f of (limit + 1) // 2 odd-number flags: f[i] iff 2i + 1 is
+    prime.  Filled in place by the block sieve _odd_blocks; 2 has no flag.
+
+    Raises ResourceLimitError, before allocating, when limit > SIEVE_LIMIT.
+    """
+    flags = np.empty(_odd_count(limit), dtype=bool)
+    for _ in _odd_blocks(limit, out=flags):
+        pass
     return flags
 
 
@@ -195,25 +238,34 @@ def _split(spec: PrimeSetSpec) -> tuple[np.ndarray, np.ndarray]:
 def psi_count(spec: PrimeSetSpec) -> int:
     """Exact number of integers <= x whose prime factors all lie in the set.
 
-    Counts n = 1 as well.  Strikes out the multiples of every outside prime
-    <= sqrt(x), one _SEGMENT_SPAN block at a time, so the work is bounded by
-    x.  A survivor has at most one prime factor above sqrt(x), so those an
-    outside prime p > sqrt(x) would strike are the k * p with k <= x // p
-    and k still kept: they are counted and subtracted, not struck.
+    Counts n = 1 as well.  Strikes out the odd multiples of every odd outside
+    prime <= sqrt(x), one _SEGMENT_SPAN block of odd-number flags at a time,
+    so the work is bounded by x and the memory by a block.  Unless 2 is an
+    outside prime <= sqrt(x), an even n = 2**a * m (m odd) is kept with m,
+    so the kept even n are the kept odd m <= x >> a, a >= 1.  A survivor has
+    at most one prime factor above sqrt(x), so those an outside prime
+    p > sqrt(x) would strike are the k * p with k <= x // p and k still kept:
+    they are counted and subtracted, not struck.
     """
     x = spec.x
     outside = spec.complement()
-    keep = np.ones(x + 1, dtype=bool)
     root = math.isqrt(x)
     split = int(np.searchsorted(outside, root, side="right"))
-    small = outside[:split].tolist()
-    for lo in range(0, x + 1, _SEGMENT_SPAN):
-        block = keep[lo : lo + _SEGMENT_SPAN]
-        for p in small:
-            block[(-lo) % p :: p] = False
-    k = np.flatnonzero(keep[1 : root + 1]) + 1
-    struck = np.searchsorted(outside[split:], x // k, side="right").sum()
-    return int(np.count_nonzero(keep[1:]) - struck)
+    evens = split == 0 or outside[0] != 2
+    # The odd m <= y are the first (y + 1) // 2 flags.
+    cuts = [((x >> a) + 1) // 2 for a in range(1, x.bit_length())] if evens else []
+    odd = even = 0
+    for lo, block in _odd_blocks(x, outside[:split]):
+        if lo == 0:  # root <= 1e4 lies in the first block
+            k = 2 * np.flatnonzero(block[: (root + 1) // 2]) + 1
+        for cut in cuts:
+            if lo < cut <= lo + block.size:
+                even += odd + int(np.count_nonzero(block[: cut - lo]))
+        odd += int(np.count_nonzero(block))
+    # The kept k <= sqrt(x): the odd ones, and 2**a times them when evens are kept.
+    k = np.concatenate([k << a for a in range(root.bit_length() if evens else 1)])
+    struck = np.searchsorted(outside[split:], x // k[k <= root], side="right").sum()
+    return int(odd + even - struck)
 
 
 def mertens_sum(spec: PrimeSetSpec, lo: float, hi: float) -> float:

@@ -159,6 +159,21 @@ def test_elementary_p41():
     assert r.coverage == {0: 3, 1: 2}
 
 
+def elementary_by_divisor(table):
+    """Reference: for each divisor index, the first candidate whose mask has its bit."""
+    masks = table.masks
+    return tuple(sorted({next(n for n in masks if masks[n] >> i & 1) for i in range(table.field.r)}))
+
+
+def test_elementary_matches_per_divisor_scan():
+    # Every table of survey(3, 3000), and the rows of
+    # test_survey_row_factorizes_once, the last one near 2^63.
+    primes = primes_upto(3000).tolist()[1:] + [7, 41, 577, 10007, 8608456956238879741]
+    for p in primes:
+        table = candidate_table(field_spec(p))
+        assert elementary_generating_set(table) == elementary_by_divisor(table), p
+
+
 # ---------------------------------------------------------------------------
 # greedy
 # ---------------------------------------------------------------------------

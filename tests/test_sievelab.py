@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smallgen import sievelab
+from smallgen import experiments, sievelab
 from smallgen.cli import run
+from smallgen.experiments import density_experiment
 from smallgen.modcore import factorize, field_spec, is_prime
 from smallgen.sievelab import (
     PrimeSetSpec,
@@ -172,12 +173,15 @@ def strike_oracle(spec):
 
 
 def test_psi_blocked_strike_matches_unblocked():
-    # x spans four blocks, so every outside prime <= sqrt(x) strikes at a
-    # nonzero block offset.
+    # x's odd flags span two blocks, so every outside prime <= sqrt(x) strikes
+    # at a nonzero block offset.  The first two sets hold 2 and keep the even
+    # numbers; the last two strike them (2 is a non-residue mod 13).
     x = 3 * sievelab._SEGMENT_SPAN + 12345
     specs = [
         PrimeSetSpec.residue(x, field_spec(31), 0),
         PrimeSetSpec.explicit(x, [2, 3, 5, 7, 1009, 1777, 3_000_017]),
+        PrimeSetSpec.explicit(x, [3, 5, 7]),
+        PrimeSetSpec.residue(x, field_spec(13), 0),
     ]
     for spec in specs:
         assert np.count_nonzero(spec.complement() <= math.isqrt(x)) > 100  # the blocked strikers
@@ -244,10 +248,9 @@ def test_psi_matches_dfs_oracle():
         assert psi_count(spec) == psi_dfs(spec), spec
 
 
-def test_every_sieve_refuses_past_the_cap(monkeypatch):
-    # Each call below once asked prime_flags for 10**12 flags. With numpy's
-    # allocators guarded, an uncapped sieve fails here instead of exhausting
-    # memory.
+def capped_numpy(limit):
+    """numpy, with its array constructors failing past limit elements."""
+
     class CappedNumpy:
         def __getattr__(self, name):
             attr = getattr(np, name)
@@ -255,12 +258,19 @@ def test_every_sieve_refuses_past_the_cap(monkeypatch):
                 return attr
 
             def guarded(shape, *args, **kwargs):
-                assert math.prod(np.atleast_1d(shape)) <= 10**8 + 1, f"np.{name}({shape}) past the cap"
+                assert math.prod(np.atleast_1d(shape)) <= limit, f"np.{name}({shape}) past {limit}"
                 return attr(shape, *args, **kwargs)
 
             return guarded
 
-    monkeypatch.setattr(sievelab, "np", CappedNumpy())
+    return CappedNumpy()
+
+
+def test_every_sieve_refuses_past_the_cap(monkeypatch):
+    # Each call below once asked prime_flags for 10**12 flags. With numpy's
+    # allocators guarded, an uncapped sieve fails here instead of exhausting
+    # memory.
+    monkeypatch.setattr(sievelab, "np", capped_numpy(10**8 + 1))
     x = 10**12
     for call in (
         lambda: primes_upto(x),
@@ -272,6 +282,30 @@ def test_every_sieve_refuses_past_the_cap(monkeypatch):
     ):
         with pytest.raises(ResourceLimitError):
             call()
+
+
+def test_streamed_sieves_hold_no_flag_per_odd_number(monkeypatch):
+    # density_experiment and psi_count stream the odd-number flags in blocks,
+    # so neither allocates an array of (x + 1) // 2 elements or more.  Each
+    # prime set's sieve of [0, x] (its complement) is taken before the guard:
+    # it is the one array of that size a query may hold.
+    x = 7 * sievelab._SEGMENT_SPAN + 12345
+    capped = capped_numpy((x + 1) // 2 - 1)
+    with monkeypatch.context() as m:
+        m.setattr(sievelab, "np", capped)
+        m.setattr(experiments, "np", capped)
+        for l_values in ([2.0, 3.0], [150.0]):
+            density_experiment(x, l_values)
+    for spec in (
+        PrimeSetSpec.threshold(x, 2),
+        PrimeSetSpec.residue(x, field_spec(31), 0),
+        PrimeSetSpec.explicit(x, [2, 3, 5, 7]),
+        PrimeSetSpec.explicit(x, [3, 5, 7]),
+    ):
+        spec.complement()
+        with monkeypatch.context() as m:
+            m.setattr(sievelab, "np", capped)
+            psi_count(spec)
 
 
 @given(st.data())
