@@ -1,14 +1,17 @@
 """Desk-scale sieve diagnostics: exact smooth counts, Mertens sums, Dickman rho.
 
-Each prime set P is one sieve of [0, x], split into P and its complement.
-Psi(x; P) counts integers up to x all of whose prime factors lie in P,
-computed exactly by striking out the multiples of the primes outside P up to
-sqrt(x) and subtracting the survivors that the larger ones divide; the
-inclusion-exclusion prediction x * prod_{p not in P} (1 - 1/p) and the
-harmonic hypothesis sum are evaluated from the same split directly.
+Each prime set P is one sieve of [0, x], split into P and its complement as
+it streams: each block's primes go straight to their side, so the split
+holds the two sides and one block.  Psi(x; P) counts integers up to x all of
+whose prime factors lie in P, computed exactly by striking out the multiples
+of the primes outside P up to sqrt(x) and subtracting the survivors that the
+larger ones divide; the inclusion-exclusion prediction
+x * prod_{p not in P} (1 - 1/p) and the harmonic hypothesis sum are
+evaluated from the same split, a chunk at a time.
 Every sieve is one private generator, _odd_blocks, which keeps one flag per
 odd number, strikes them one _SEGMENT_SPAN block at a time and refuses limits
-over SIEVE_LIMIT: prime_flags fills its array with it, and psi_count and
+over SIEVE_LIMIT; its base primes come from itself, run to sqrt(limit).
+prime_flags fills its array with it, and the split, psi_count and
 experiments.density_experiment stream its blocks without holding an x-sized
 array.  p_minus_one_divisors factors p - 1 for many primes at once, by one
 vectorized trial division per chunk of primes.
@@ -16,6 +19,7 @@ vectorized trial division per chunk of primes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,17 +41,6 @@ _DIVISOR_CHUNK = 1024  # primes per pass of p_minus_one_divisors
 
 class ResourceLimitError(RuntimeError):
     """Raised when a request exceeds the exact-computation caps."""
-
-
-def _simple_prime_flags(limit: int) -> np.ndarray:
-    flags = np.zeros(limit + 1, dtype=bool)
-    if limit >= 2:
-        flags[2] = True
-        flags[3::2] = True
-        for p in range(3, math.isqrt(limit) + 1, 2):
-            if flags[p]:
-                flags[p * p :: 2 * p] = False
-    return flags
 
 
 def _odd_count(limit: int) -> int:
@@ -78,7 +71,8 @@ def _odd_blocks(limit: int, outside=None, out=None):
     n = _odd_count(limit)
     root = math.isqrt(limit)
     if outside is None:
-        strikers = np.flatnonzero(_simple_prime_flags(root))[1:].tolist()
+        # The odd base primes come from the same sieve, run to sqrt(limit).
+        strikers = primes_upto(root)[1:].tolist() if root >= 3 else []
         firsts = [p * p // 2 for p in strikers]
     else:
         strikers = [p for p in outside.tolist() if p != 2]
@@ -116,11 +110,30 @@ def prime_flags(limit: int) -> np.ndarray:
 
 def primes_upto(limit: int) -> np.ndarray:
     """All primes <= limit, ascending."""
-    flags = prime_flags(limit)
-    flags[:1] = limit >= 2  # index 0 stands for 1: it holds the place of 2
-    primes = 2 * np.flatnonzero(flags).astype(np.int64, copy=False) + 1
-    primes[:1] = 2
+    return _flagged_primes(0, prime_flags(limit), limit)
+
+
+def _flagged_primes(lo: int, flags: np.ndarray, limit: int) -> np.ndarray:
+    """The primes of a block of odd flags whose first index is lo, as int64.
+
+    Index 0 stands for 1, so in the first block it holds the place of 2 when
+    limit >= 2 (flags is written there).  The arithmetic is done in place.
+    """
+    if lo == 0:
+        flags[:1] = limit >= 2
+    primes = np.flatnonzero(flags).astype(np.int64, copy=False)
+    primes += lo
+    primes *= 2
+    primes += 1
+    if lo == 0:
+        primes[:1] = 2
     return primes
+
+
+def _prime_count_bound(x: int) -> int:
+    """An upper bound on pi(x): pi(x) < 1.25506 x / ln x for x > 1
+    (Rosser and Schoenfeld 1962, Corollary 1), with 2 to spare for rounding."""
+    return int(1.25506 * x / math.log(x)) + 2 if x > 1 else 0
 
 
 def p_minus_one_divisors(primes):
@@ -212,27 +225,46 @@ class PrimeSetSpec:
 # psi_count and complement_product of one check share it.
 @lru_cache(maxsize=1)
 def _split(spec: PrimeSetSpec) -> tuple[np.ndarray, np.ndarray]:
-    primes = primes_upto(spec.x)
+    blocks = _odd_blocks(spec.x)  # checks x before anything is allocated
+    inside = _membership(spec)
+    # Each side is allocated for every prime <= x; the pages never written
+    # are never touched, and resize() gives them back.
+    parts = tuple(np.empty(_prime_count_bound(spec.x), dtype=np.int64) for _ in range(2))
+    sizes = [0, 0]
+    for lo, block in blocks:
+        primes = _flagged_primes(lo, block, spec.x)
+        mask = inside(primes)
+        for side, arr in enumerate((primes[mask], primes[~mask])):
+            parts[side][sizes[side] : sizes[side] + arr.size] = arr
+            sizes[side] += arr.size
+    for arr, size in zip(parts, sizes):
+        arr.resize(size, refcheck=False)
+        arr.flags.writeable = False
+    return parts
+
+
+def _membership(spec: PrimeSetSpec):
+    """The set's membership test: ascending int64 primes -> boolean mask."""
     if spec.kind == "threshold":
         limit = math.exp(math.log(spec.x) / spec.u) if spec.x > 1 else 1.0
-        inside = primes <= int(limit * (1.0 + 1e-12))
-    elif spec.kind == "residue":
+        cut = int(limit * (1.0 + 1e-12))
+        return lambda primes: primes <= cut
+    if spec.kind == "residue":
         field = spec.field
         p = field.p
         q, _ = field.divisors[spec.divisor_index]
         exp = (p - 1) // q
-        # One pow per residue class; class 0 (t = p) gives pow(0, exp, p) = 0.
-        residues = primes % p
-        hits = [c for c in np.unique(residues).tolist() if pow(c, exp, p) == 1]
-        inside = np.isin(residues, hits)
-    elif spec.kind == "explicit":
-        inside = np.isin(primes, spec.members)
-    else:
-        raise ValueError(f"unknown prime set kind {spec.kind!r}")
-    parts = primes[inside], primes[~inside]
-    for arr in parts:
-        arr.flags.writeable = False
-    return parts
+
+        def inside(primes):
+            # One pow per residue class; class 0 (t = p) gives pow(0, exp, p) = 0.
+            residues = primes % p
+            hits = [c for c in np.unique(residues).tolist() if pow(c, exp, p) == 1]
+            return np.isin(residues, hits)
+
+        return inside
+    if spec.kind == "explicit":
+        return lambda primes: np.isin(primes, spec.members)
+    raise ValueError(f"unknown prime set kind {spec.kind!r}")
 
 
 def psi_count(spec: PrimeSetSpec) -> int:
@@ -276,15 +308,27 @@ def mertens_sum(spec: PrimeSetSpec, lo: float, hi: float) -> float:
     hi = min(float(hi), float(spec.x))
     a = int(np.searchsorted(arr, lo, side="right"))
     b = int(np.searchsorted(arr, hi, side="right"))
-    return math.fsum(1.0 / int(p) for p in arr[a:b])
+    # 1.0 / p in float64 is Python's 1.0 / int(p) for p < 2**53, and fsum is
+    # correctly rounded, so the chunks change neither the terms nor the sum.
+    terms = ((1.0 / c).tolist() for c in _float_chunks(arr[a:b]))
+    return math.fsum(itertools.chain.from_iterable(terms))
 
 
 def complement_product(spec: PrimeSetSpec) -> float:
     """prod (1 - 1/p) over the primes <= x outside the realized set."""
-    comp = spec.complement()
-    if comp.size == 0:
-        return 1.0
-    return float(np.prod(1.0 - 1.0 / comp.astype(np.float64)))
+    # numpy multiplies a float reduction in order, so chaining the chunks
+    # through initial= gives np.prod over the whole array bit for bit.
+    acc = 1.0
+    for c in _float_chunks(spec.complement()):
+        acc = np.prod(1.0 - 1.0 / c, initial=acc)
+    return float(acc)
+
+
+def _float_chunks(arr: np.ndarray):
+    """arr as float64, in chunks of one _SEGMENT_SPAN of bytes each."""
+    step = _SEGMENT_SPAN // 8
+    for lo in range(0, arr.size, step):
+        yield arr[lo : lo + step].astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +419,8 @@ def sieve_bound_check(spec: PrimeSetSpec, u: float, v: float, epsilon: float) ->
         raise ValueError(f"need u <= v, got u={u} v={v}")
     x = spec.x
     if x > SIEVE_LIMIT:
-        # realize() would have prime_flags refuse x as well; refusing here
-        # first makes no primes_upto call at all.
+        # realize() would have _odd_blocks refuse x as well; refusing here
+        # first starts no sieve at all.
         raise ResourceLimitError(f"sieve_bound_check sieves to x; capped at x={SIEVE_LIMIT:.0e}")
     lo = x ** (1.0 / v)
     hi = x ** (1.0 / u)

@@ -278,14 +278,14 @@ def test_density_cross_check_exact():
         assert [r.degenerate for r in rows] == [x == 7 and r.l == 1.0 for r in rows]
 
 
-def test_density_blocked_counts_match_unblocked():
+def test_density_blocked_counts_match_unblocked(simple_prime_flags):
     # x's odd flags span four blocks, so the blocked counts start at nonzero
     # offsets; the oracle counts p = 1 mod q over the whole bitmap of every
     # integer <= x, one pass per q.
     x = 7 * sievelab._SEGMENT_SPAN + 12345
     assert -(-((x + 1) // 2) // sievelab._SEGMENT_SPAN) == 4
     rows = density_experiment(x, [1.0, 2.0, 3.0, 150.0])
-    flags = sievelab._simple_prime_flags(x)
+    flags = simple_prime_flags(x)
     primes = np.flatnonzero(flags)
     for r in rows:
         qs = primes[primes <= r.threshold].tolist()

@@ -74,14 +74,24 @@ def test_p_minus_one_divisors_edges():
         list(p_minus_one_divisors([1, 7]))  # p - 1 = 0 has no factorization
 
 
-def test_segmented_matches_simple():
+def test_segmented_matches_simple(simple_prime_flags):
     # every small limit, and the limits around the first three segment ends;
     # a segment of odd flags spans 2 * _SEGMENT_SPAN integers
-    from smallgen.sievelab import _SEGMENT_SPAN, _simple_prime_flags
-
-    ends = [2 * k * _SEGMENT_SPAN + d for k in (1, 2, 3) for d in range(-2, 3)]
+    ends = [2 * k * sievelab._SEGMENT_SPAN + d for k in (1, 2, 3) for d in range(-2, 3)]
     for limit in [*range(3000), *ends]:
-        assert np.array_equal(prime_flags(limit), _simple_prime_flags(limit)[1::2]), limit
+        assert np.array_equal(prime_flags(limit), simple_prime_flags(limit)[1::2]), limit
+
+
+def test_prime_count_bound():
+    # _split sizes each side by _prime_count_bound(x); it must hold pi(x).
+    # The bound is tightest at x = 113, where pi(x) = 30 and 1.25506 x / ln x
+    # is 30.003.
+    top = 2 * 10**5
+    pi = np.searchsorted(primes_upto(top), np.arange(top + 1), side="right")
+    slack = [sievelab._prime_count_bound(x) - int(pi[x]) for x in range(2, top + 1)]
+    assert min(slack) >= 0
+    assert slack[113 - 2] == 2
+    assert sievelab._prime_count_bound(1) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +295,9 @@ def test_every_sieve_refuses_past_the_cap(monkeypatch):
 
 
 def test_streamed_sieves_hold_no_flag_per_odd_number(monkeypatch):
-    # density_experiment and psi_count stream the odd-number flags in blocks,
-    # so neither allocates an array of (x + 1) // 2 elements or more.  Each
-    # prime set's sieve of [0, x] (its complement) is taken before the guard:
-    # it is the one array of that size a query may hold.
+    # density_experiment, the prime-set split and psi_count stream the
+    # odd-number flags in blocks, so none allocates an array of (x + 1) // 2
+    # elements or more.
     x = 7 * sievelab._SEGMENT_SPAN + 12345
     capped = capped_numpy((x + 1) // 2 - 1)
     with monkeypatch.context() as m:
@@ -302,10 +311,13 @@ def test_streamed_sieves_hold_no_flag_per_odd_number(monkeypatch):
         PrimeSetSpec.explicit(x, [2, 3, 5, 7]),
         PrimeSetSpec.explicit(x, [3, 5, 7]),
     ):
-        spec.complement()
+        sievelab._split.cache_clear()
         with monkeypatch.context() as m:
             m.setattr(sievelab, "np", capped)
+            spec.complement()
             psi_count(spec)
+            mertens_sum(spec, 1, x)
+            complement_product(spec)
 
 
 @given(st.data())
@@ -331,6 +343,39 @@ def test_mertens_examples():
     assert mertens_sum(all10, 5, 5) == 0.0
     spec = PrimeSetSpec.explicit(10, [2, 3, 5])
     assert math.isclose(mertens_sum(spec, 2, 5), 1 / 3 + 1 / 5)
+
+
+def test_mertens_sum_matches_per_prime_terms():
+    # mertens_sum takes its terms as float64 1.0 / p in chunks; each must be
+    # Python's 1.0 / int(p) and the fsum the same.  At 4e6 the quadratic
+    # residues mod 31 span two chunks.
+    for x in (10**5, 4 * 10**6):
+        spec = PrimeSetSpec.residue(x, field_spec(31), 0)
+        arr = spec.realize()
+        for lo, hi in ((1, x), (x**0.1, x**0.5), (2, 3)):
+            expected = math.fsum(1.0 / int(p) for p in arr if lo < p <= hi)
+            assert mertens_sum(spec, lo, hi).hex() == expected.hex(), (x, lo, hi)
+    assert arr.size > sievelab._SEGMENT_SPAN // 8
+
+
+def test_chunked_product_matches_whole_array_prod():
+    # complement_product chains np.prod(chunk, initial=acc) over chunks.  That
+    # equals np.prod of the whole array bit for bit only while numpy reduces
+    # float multiplication in order, which this pins for chunk sizes that do
+    # not divide the array.
+    terms = 1.0 - 1.0 / primes_upto(10**6).astype(np.float64)
+    whole = float(np.prod(terms))
+    for size in (5, 13, 1000, 4099, 65537, terms.size - 1):
+        assert terms.size % size
+        acc = 1.0
+        for lo in range(0, terms.size, size):
+            acc = np.prod(terms[lo : lo + size], initial=acc)
+        assert float(acc).hex() == whole.hex(), size
+    # And complement_product itself, over a complement of several chunks.
+    spec = PrimeSetSpec.explicit(2 * 10**6, [2, 3])
+    comp = spec.complement()
+    assert comp.size > sievelab._SEGMENT_SPAN // 8
+    assert complement_product(spec).hex() == float(np.prod(1.0 - 1.0 / comp.astype(np.float64))).hex()
 
 
 def test_complement_product_examples():
@@ -498,6 +543,7 @@ def test_sieve_bound_check_caps_before_sieving(monkeypatch, capsys):
         raise AssertionError(f"primes_upto({limit}) called past the cap")
 
     monkeypatch.setattr(sievelab, "primes_upto", no_sieve)
+    monkeypatch.setattr(sievelab, "_odd_blocks", lambda limit, *args: no_sieve(limit))
     for x, u, v in ((10**12, 1.0, 2.0), (10**18, 2.0, 10.0)):
         with pytest.raises(ResourceLimitError):
             sieve_bound_check(PrimeSetSpec.threshold(x, u), u, v, 0.1)
@@ -508,14 +554,17 @@ def test_sieve_bound_check_caps_before_sieving(monkeypatch, capsys):
 
 def test_sieve_bound_check_sieves_once(monkeypatch):
     # mertens_sum, psi_count and complement_product share one sieve of [0, x]
-    # for every kind of prime set.
+    # for every kind of prime set.  The prime sieve is _odd_blocks with no
+    # outside primes; its other passes find the base primes, up to sqrt(x).
     limits = []
+    odd_blocks = sievelab._odd_blocks
 
-    def spy(limit):
-        limits.append(limit)
-        return prime_flags(limit)
+    def spy(limit, outside=None, out=None):
+        if outside is None:
+            limits.append(limit)
+        return odd_blocks(limit, outside, out)
 
-    monkeypatch.setattr(sievelab, "prime_flags", spy)
+    monkeypatch.setattr(sievelab, "_odd_blocks", spy)
     specs = [
         PrimeSetSpec.threshold(10**7, 2),
         PrimeSetSpec.residue(10**6, field_spec(31), 0),
@@ -526,7 +575,7 @@ def test_sieve_bound_check_sieves_once(monkeypatch):
         sievelab._split.cache_clear()
         limits.clear()
         psis.append(sieve_bound_check(spec, 1, 2, 0.1).psi)
-        assert limits == [spec.x], spec
+        assert [n for n in limits if n > math.isqrt(spec.x)] == [spec.x], spec
     assert psis[0] == 3362157
 
 
