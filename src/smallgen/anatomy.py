@@ -51,19 +51,26 @@ def anatomy_record(n: int, l_values, factors=None) -> AnatomyRecord:
 
     factors, if given, is the factorization of n as (prime, multiplicity)
     pairs, e.g. FieldSpec.divisors for n = p - 1; it is then not recomputed.
+    The threshold and the bound are smallness_threshold's and bound_general's
+    expressions, with ln(n + 1) taken once.
     """
     if n < 1:
         raise ValueError(f"anatomy requires n >= 1, got {n}")
     if factors is None:
         factors = factorize(n) if n > 1 else []
     om = len(factors)
+    log_n = math.log(n + 1)
     omega_map: dict[float, int] = {}
     thresholds: dict[float, float] = {}
+    bounds: dict[float, float] = {}
     for l in l_values:
-        cutoff = smallness_threshold(n, l)
-        thresholds[float(l)] = cutoff
-        omega_map[float(l)] = sum(1 for q, _ in factors if q <= cutoff)
-    bounds = {l: bound_general(om, w, l) if l > 1 else math.nan for l, w in omega_map.items()}
+        _check_l(l)
+        cutoff = math.inf if l * math.log(l) > _LOG_OVERFLOW else log_n * l**l
+        w = sum(1 for q, _ in factors if q <= cutoff)
+        key = float(l)
+        thresholds[key] = cutoff
+        omega_map[key] = w
+        bounds[key] = w + (om - w) / math.log(key) if key > 1 else math.nan
     return AnatomyRecord(n=n, omega=om, omega_l=omega_map, thresholds=thresholds, bounds=bounds)
 
 

@@ -3,7 +3,12 @@
 A record is a dataclass or a NamedTuple; its wire format follows from
 ``dataclasses.fields`` and ``typing.get_type_hints`` alone.  Dict keys are
 written as format(k, "g") for floats and str(k) for ints, in sorted order.
-The plan for each type is built once, so the loop over rows does no reflection.
+The JSON plan for each type is built once, so the loop over rows does no
+reflection.  Each to_csv and from_csv call generates one function that
+encodes or decodes a whole row, with eval as dataclasses and namedtuple do.
+Its source is made of field names (identifiers, as dataclasses and NamedTuple
+require), fixed templates and generated names; every dict key and type it
+needs is bound in its namespace, so no data is ever part of the source.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import types
 import typing
@@ -98,28 +104,31 @@ def from_json(cls, text: str):
     return [dec(obj) for obj in data] if isinstance(data, list) else dec(data)
 
 
-@cache
-def _cell(tp):
-    """Formatter of one CSV cell of type tp."""
+def _bind(env: dict, value) -> str:
+    """A fresh name under which generated source reaches value: env holds it."""
+    name = f"_{len(env)}"
+    env[name] = value
+    return name
+
+
+def _cell(tp, v: str) -> str:
+    """Source of the CSV cell of the value expression v, which has type tp."""
     if tp is bool:
-        return lambda v: "true" if v else "false"
+        return f'("true" if {v} else "false")'
     if tp is float:
-        return lambda v: format(v, ".12g")
+        return f'format({v}, ".12g")'
     if typing.get_origin(tp) is tuple:
-        fmt = _cell(typing.get_args(tp)[0])
-        return lambda v: ";".join(map(fmt, v))
-    return str
+        return f'";".join([{_cell(typing.get_args(tp)[0], "x")} for x in {v}])'
+    return f"str({v})"
 
 
-@cache
-def _parse(tp):
-    """Parser of one CSV cell of type tp."""
+def _parse(tp, v: str, env: dict) -> str:
+    """Source of the value of type tp read from the CSV cell expression v."""
     if tp is bool:
-        return "true".__eq__
+        return f'({v} == "true")'
     if typing.get_origin(tp) is tuple:
-        parse = _parse(typing.get_args(tp)[0])
-        return lambda s: tuple(map(parse, s.split(";"))) if s else ()
-    return tp
+        return f'(tuple([{_parse(typing.get_args(tp)[0], "x", env)} for x in {v}.split(";")]) if {v} else ())'
+    return f"{_bind(env, tp)}({v})"
 
 
 def to_csv(rows) -> str:
@@ -128,43 +137,53 @@ def to_csv(rows) -> str:
     A field's column is its name, or the "csv" name in its metadata.  A dict
     field has one column <column>_<key> per key of the first row.  Floats get
     12 significant digits, booleans are true/false, tuples are joined by ";".
+    One encoder per call, generated from the fields and those keys, formats a row.
     """
     if not rows:
         return ""
-    header, columns = [], []  # columns: (field name, dict key or None, formatter)
+    header, cells, env = [], [], {}
     for name, tp, column in _fields(type(rows[0])):
         if typing.get_origin(tp) is dict:
             key_type, value_type = typing.get_args(tp)
             for k in sorted(getattr(rows[0], name)):
                 header.append(f"{column}_{_key(key_type)(k)}")
-                columns.append((name, k, _cell(value_type)))
+                cells.append(_cell(value_type, f"row.{name}[{_bind(env, k)}]"))
         else:
             header.append(column)
-            columns.append((name, None, _cell(tp)))
+            cells.append(_cell(tp, f"row.{name}"))
+    encode = eval(f"lambda row: ({', '.join(cells)},)", env)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(
-            [fmt(getattr(row, name)) if k is None else fmt(getattr(row, name)[k]) for name, k, fmt in columns]
-        )
+    writer.writerows(map(encode, rows))
     return buf.getvalue()
 
 
 def from_csv(cls, text: str) -> list:
-    """Records of class cls from to_csv text; [] for empty text."""
+    """Records of class cls from to_csv text; [] for empty text.
+
+    One decoder per call, generated from the fields and the header, takes a
+    row's cells as its arguments h0, h1, ... in header order.
+    """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None:
         return []
     index = {h: i for i, h in enumerate(header)}
-    getters = []
+    env = {"cls": cls}
+    args = []
     for _, tp, column in _fields(cls):
         if typing.get_origin(tp) is dict:
             key_type, value_type = typing.get_args(tp)
             prefix = column + "_"
-            cells = [(key_type(h[len(prefix) :]), i) for h, i in index.items() if h.startswith(prefix)]
-            getters.append(lambda rec, cells=cells, parse=_parse(value_type): {k: parse(rec[i]) for k, i in cells})
+            items = [
+                f"{_bind(env, key_type(h[len(prefix) :]))}: {_parse(value_type, f'h{i}', env)}"
+                for h, i in index.items()
+                if h.startswith(prefix)
+            ]
+            args.append(f"{{{', '.join(items)}}}")
         else:
-            getters.append(lambda rec, i=index[column], parse=_parse(tp): parse(rec[i]))
-    return [cls(*[get(rec) for get in getters]) for rec in reader]
+            args.append(_parse(tp, f"h{index[column]}", env))
+    params = ", ".join(f"h{i}" for i in range(len(header)))
+    decode = eval(f"lambda {params}: cls({', '.join(args)})", env)
+    return list(itertools.starmap(decode, reader))

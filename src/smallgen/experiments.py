@@ -2,30 +2,37 @@
 
 Rows are pure functions of their prime, so surveys may fan out over a process
 pool; results are always merged in ascending-p order and serialized with fixed
-formatting, making output bytes independent of the parallelism degree.
+formatting, making output bytes independent of the parallelism degree.  A
+survey works in chunks of _DIVISOR_CHUNK primes: their p - 1 are factored by
+one batch pass, their candidate tables are scanned together by the int64
+modpow kernel, and then each row is built from its table.  survey_row, certify
+and the CLI's genset scan one field with candidate_table, the scalar oracle.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
-import dataclasses
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
 from .anatomy import _check_l, anatomy_record, smallness_threshold
 from .codec import from_csv, to_csv
 from .genset import (
+    CandidateTable,
     SearchPolicy,
+    _candidate_tables,
     candidate_table,
     elementary_generating_set,
     exact_min_generating_set,
     greedy_block_generating_set,
 )
 from .modcore import FieldSpec, field_spec
-from .sievelab import _odd_blocks, p_minus_one_divisors, primes_upto
+from .sievelab import _DIVISOR_CHUNK, _odd_blocks, p_minus_one_divisors, primes_upto
 
 # Meissel-Mertens constant: sum_{p<=T} 1/p = ln ln T + M + o(1).
 MEISSEL_MERTENS = 0.26149721284764278
@@ -40,7 +47,7 @@ _BLOCKED_STRIDE_MAX = 4096
 _STRIDE_CHUNK = 1 << 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurveyRow:
     """Per-prime survey record: anatomy, the three generating-set sizes, bounds.
 
@@ -79,18 +86,21 @@ class DensityRow:
 
 def survey_row(p: int, l_values=(2.0, 3.0), policy: SearchPolicy = SearchPolicy()) -> SurveyRow:
     """Compute one survey row for the prime p."""
-    return _row(field_spec(p), l_values, policy)
+    field = field_spec(p)
+    return _row(field, candidate_table(field, policy), l_values)
 
 
-def _divisor_row(p_divisors, l_values, policy) -> SurveyRow:
-    """The row of (p, divisors of p - 1) from the batch pass; FieldSpec checks both."""
-    return _row(FieldSpec(*p_divisors), l_values, policy)
+def _chunk_rows(pairs, l_values, policy) -> list[SurveyRow]:
+    """The rows of a chunk of (p, divisors of p - 1) pairs from the batch pass:
+    FieldSpec checks each pair, then the chunk's candidate tables are scanned
+    together."""
+    fields = [FieldSpec(p, divisors) for p, divisors in pairs]
+    return [_row(f, t, l_values) for f, t in zip(fields, _candidate_tables(fields, policy))]
 
 
-def _row(field: FieldSpec, l_values, policy: SearchPolicy) -> SurveyRow:
+def _row(field: FieldSpec, table: CandidateTable, l_values) -> SurveyRow:
     p = field.p
     record = anatomy_record(p - 1, l_values, field.divisors)
-    table = candidate_table(field, policy)
     exact = exact_min_generating_set(table)
     greedy = tuple(sorted(greedy_block_generating_set(table)))
     elementary = elementary_generating_set(table)
@@ -126,6 +136,8 @@ def survey(
     The divisors of every selected p - 1 come from one batch pass,
     p_minus_one_divisors, whose working memory is bounded by its chunk of
     primes; no row factorizes, and each FieldSpec still checks its divisors.
+    Each worker task is one chunk of _DIVISOR_CHUNK primes, whose candidate
+    tables genset._candidate_tables scans together.
     """
     if p_min < 3:
         raise ValueError(f"p_min must be >= 3, got {p_min}")
@@ -145,14 +157,12 @@ def survey(
     if sample is not None:
         primes = primes[:: math.ceil(primes.size / sample)]
     pairs = p_minus_one_divisors(primes)
-    worker = partial(_divisor_row, l_values=l_values, policy=policy)
+    chunks = iter(lambda: list(islice(pairs, _DIVISOR_CHUNK)), [])
+    worker = partial(_chunk_rows, l_values=l_values, policy=policy)
     if threads > 1:
-        chunk = max(1, primes.size // (threads * 8))
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(worker, pairs, chunksize=chunk))
-    else:
-        rows = [worker(pair) for pair in pairs]
-    return rows
+            return [row for rows in pool.map(worker, chunks) for row in rows]
+    return [row for rows in map(worker, chunks) for row in rows]
 
 
 def density_experiment(x: int, l_values) -> list[DensityRow]:

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
-from .modcore import FieldSpec, multiplicative_order, residue_signature
+import numpy as np
+
+from .modcore import _POW_MOD_MAX, FieldSpec, _pow_mod, multiplicative_order, residue_signature
 
 # Search radius grows like p**(1/(4*sqrt(e)) + epsilon).
 GENERATION_EXPONENT = 1.0 / (4.0 * math.sqrt(math.e))
@@ -149,6 +151,95 @@ def candidate_table(field: FieldSpec, policy: SearchPolicy = SearchPolicy()) -> 
             )
             raise InfeasibleCoverError(p, radius, uncovered)
         lo, radius = radius + 1, min(2 * radius, cap)
+
+
+def _candidate_tables(fields, policy: SearchPolicy = SearchPolicy()) -> list[CandidateTable]:
+    """[candidate_table(f, policy) for f in fields], with the fields scanned together.
+
+    The fields with p <= _POW_MOD_MAX scan each candidate n at the same time,
+    so one _pow_mod call per prime n tests every live (field, q) pair; a
+    composite n = a * b takes its powers as the products of a's and b's.
+    Each field keeps candidate_table's stops: its first full mask, or the end
+    of a radius step with every divisor index covered; else its radius
+    doubles.  A field that would raise InfeasibleCoverError, and one with
+    p > _POW_MOD_MAX, is left to candidate_table, called in field order.
+    """
+    scanned = iter(_scan_together([f for f in fields if f.p <= _POW_MOD_MAX], policy))
+    return [(next(scanned) if f.p <= _POW_MOD_MAX else None) or candidate_table(f, policy) for f in fields]
+
+
+def _scan_together(fields, policy: SearchPolicy) -> list[CandidateTable | None]:
+    """The tables of fields with p <= _POW_MOD_MAX; None where the scan would raise."""
+    if not fields:
+        return []
+    p = np.array([f.p for f in fields], dtype=np.int64)
+    r = np.array([f.r for f in fields], dtype=np.int64)
+    initial = [policy.initial_radius(f.p) for f in fields]
+    # Python ints: a policy's radius and cap may pass int64.
+    cap = np.array([policy.cap(f.p) for f in fields], dtype=object)
+    radius = np.minimum(np.array(initial, dtype=object), cap)
+    covered = np.zeros(p.size, dtype=bool)
+    # The live fields: their index, the last n of their radius step, their
+    # union and full masks.  Their (field, q) pairs, grouped by field: the
+    # field's position among the live ones, p, (p - 1) / q, q's mask bit and
+    # the pair's index among all pairs.
+    live = np.arange(p.size)
+    limit = np.minimum(radius, p - 1).astype(np.int64)  # n = p never contributes
+    union = np.zeros(p.size, dtype=np.int64)
+    full = (1 << r) - 1
+    owner = np.repeat(live, r)
+    mod = p[owner]
+    exp = (mod - 1) // np.array([q for f in fields for q, _ in f.divisors], dtype=np.int64)
+    bit = 1 << (np.arange(owner.size) - np.repeat(np.cumsum(r) - r, r))
+    pair = np.arange(owner.size)
+    powers = {}  # n -> n**((p - 1) / q) % p of each pair live at n, by pair index
+    n_pairs = owner.size
+    scanned, scanned_masks = [], []  # per candidate n: the live fields and their masks
+    n = 2
+    while live.size:
+        a = next((a for a in range(2, math.isqrt(n) + 1) if n % a == 0), None)
+        if a is None:  # n is prime
+            value = _pow_mod(n, exp, mod)
+        else:
+            value = powers[a][pair] * powers[n // a][pair] % mod
+        powers[n] = np.empty(n_pairs, dtype=np.int64)
+        powers[n][pair] = value
+        nonres = value != 1
+        mask = np.bincount(owner[nonres], weights=bit[nonres], minlength=live.size).astype(np.int64)
+        scanned.append(live)
+        scanned_masks.append(mask)
+        union |= mask
+        end = np.flatnonzero((mask == full) | (n == limit))
+        if end.size:
+            stay = np.ones(live.size, dtype=bool)
+            stay[end] = False
+            ended = live[end]
+            done = union[end] == full[end]
+            covered[ended[done]] = True
+            if policy.expand_on_failure:
+                grow = ~done & (radius[ended] < cap[ended])
+                j = ended[grow]
+                radius[j] = np.minimum(2 * radius[j], cap[j])
+                limit[end[grow]] = np.minimum(radius[j], p[j] - 1)
+                stay[end[grow]] = True
+            live, limit, union, full = live[stay], limit[stay], union[stay], full[stay]
+            keep = stay[owner]
+            owner = (np.cumsum(stay) - 1)[owner[keep]]
+            mod, exp, bit, pair = mod[keep], exp[keep], bit[keep], pair[keep]
+        n += 1
+    # Each field scanned n = 2, 3, ... in turn: gather its masks in n order.
+    who = np.concatenate(scanned)
+    masks = np.concatenate(scanned_masks)[np.argsort(who, kind="stable")].tolist()
+    tables: list[CandidateTable | None] = []
+    start = 0
+    for j, count in enumerate(np.bincount(who, minlength=p.size).tolist()):
+        table = None
+        if covered[j]:
+            masks_j = dict(zip(range(2, 2 + count), masks[start : start + count]))
+            table = CandidateTable(field=fields[j], radius=radius[j], initial=initial[j], masks=masks_j)
+        tables.append(table)
+        start += count
+    return tables
 
 
 def _combine(coverage: dict[int, int], field: FieldSpec) -> int:

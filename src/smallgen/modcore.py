@@ -3,7 +3,9 @@
 Everything here is deterministic and exact for inputs below 2**63: the
 Miller-Rabin witnesses are chosen by the size of n from sets proven to leave
 no strong pseudoprime below their bound (the full set is valid far beyond
-64 bits), so no probabilistic answers ever leak out.
+64 bits), so no probabilistic answers ever leak out.  The one vectorized
+kernel, _pow_mod, works in int64 and so accepts only moduli up to
+isqrt(2**63 - 1).
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 # Witnesses sufficient for a deterministic Miller-Rabin below 3.3e24 (> 2**64).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -36,6 +40,9 @@ _MR_TIER_SIZES = (1, 2, 3, 4, 5, 6, 7, 9, len(_MR_WITNESSES))
 _TRIAL_DIVISION_LIMIT = 4096
 
 MAX_PRIME = 2**63  # supported field size: p < 2**63
+
+# isqrt(2**63 - 1): below it a product of two residues fits in an int64.
+_POW_MOD_MAX = 3037000499
 
 
 def is_prime(n: int) -> bool:
@@ -191,3 +198,26 @@ def multiplicative_order(n: int, field: FieldSpec) -> int:
             else:
                 break
     return d
+
+
+def _pow_mod(base, exp, mod) -> np.ndarray:
+    """pow(base, exp, mod) elementwise over int64 arrays, broadcast together.
+
+    Square-and-multiply over the bits of exp.  Exact for 1 <= mod <=
+    _POW_MOD_MAX and exp >= 0: every residue is below mod, so each product
+    is below 2**63.  Any other mod or exp raises ValueError.
+    """
+    mod = np.asarray(mod)
+    if mod.size and not (1 <= mod.min() and mod.max() <= _POW_MOD_MAX):
+        raise ValueError(f"_pow_mod requires 1 <= mod <= {_POW_MOD_MAX}")
+    exp = np.asarray(exp, dtype=np.int64)
+    if exp.size and exp.min() < 0:
+        raise ValueError("_pow_mod requires exp >= 0")
+    mod = mod.astype(np.int64)
+    base = np.asarray(base, dtype=np.int64) % mod
+    result = np.ones(np.broadcast_shapes(base.shape, exp.shape, mod.shape), dtype=np.int64) % mod
+    while exp.any():
+        result = np.where(exp & 1, result * base % mod, result)
+        base = base * base % mod
+        exp = exp >> 1
+    return result

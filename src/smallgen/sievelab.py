@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .modcore import FieldSpec, is_prime
+from .modcore import _POW_MOD_MAX, FieldSpec, _pow_mod, is_prime
 
 SIEVE_LIMIT = 10**8  # one flag per odd integer: about 50 MB at the cap
 
@@ -256,9 +256,14 @@ def _membership(spec: PrimeSetSpec):
         exp = (p - 1) // q
 
         def inside(primes):
-            # One pow per residue class; class 0 (t = p) gives pow(0, exp, p) = 0.
+            # One pow per residue class of the block, all in one _pow_mod
+            # call while it is exact; class 0 (t = p) gives pow(0, exp, p) = 0.
             residues = primes % p
-            hits = [c for c in np.unique(residues).tolist() if pow(c, exp, p) == 1]
+            classes = np.unique(residues)
+            if p <= _POW_MOD_MAX:
+                hits = classes[_pow_mod(classes, exp, p) == 1]
+            else:
+                hits = [c for c in classes.tolist() if pow(c, exp, p) == 1]
             return np.isin(residues, hits)
 
         return inside

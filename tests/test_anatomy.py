@@ -70,6 +70,37 @@ def test_anatomy_record():
         assert rec.bounds[l] == bound_general(rec.omega, rec.omega_l[l], l)
 
 
+def test_anatomy_record_floats_match_threshold_and_bound():
+    # anatomy_record inlines smallness_threshold and bound_general; the
+    # floats must be the same bits, including the threshold that saturates
+    # to inf (l = 150 and 200), and for int l as well as float l.
+    ls = (1, 1.5, 2, 3, 150, 200, 2.0, 3.0)
+    ns = [1, 2, 6, 12, 720720, 10**6 - 1, 2**61 - 2, 2**63 - 25] + list(range(3, 400, 7))
+    saw_inf = False
+    for n in ns:
+        factors = factorize(n) if n > 1 else []
+        rec = anatomy_record(n, ls)
+        for l in ls:
+            t = smallness_threshold(n, l)
+            saw_inf |= t == math.inf
+            assert rec.thresholds[float(l)].hex() == t.hex()
+            w = sum(1 for q, _ in factors if q <= t)
+            assert rec.omega_l[float(l)] == w
+            if l > 1:
+                assert rec.bounds[float(l)].hex() == bound_general(len(factors), w, float(l)).hex()
+            else:
+                assert math.isnan(rec.bounds[float(l)])
+    assert saw_inf
+
+
+def test_anatomy_record_keeps_its_checks():
+    with pytest.raises(ValueError, match="anatomy requires n >= 1"):
+        anatomy_record(0, [2.0])
+    for bad in (0.5, 200.5, math.nan):
+        with pytest.raises(ValueError, match="l must lie in"):
+            anatomy_record(12, [2.0, bad])
+
+
 # ---------------------------------------------------------------------------
 # bound shapes
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
+from dataclasses import dataclass
+
 import pytest
 
 from smallgen.anatomy import anatomy_record, dyadic_schedule
-from smallgen.codec import from_json, to_json
+from smallgen.codec import from_csv, from_json, to_csv, to_json
 from smallgen.experiments import density_experiment, survey_row
 from smallgen.genset import Certificate, candidate_table, certify
 from smallgen.modcore import field_spec
@@ -32,3 +34,24 @@ def test_certificate_reads_back_as_a_certificate():
     back = from_json(type(x), to_json(x))
     assert isinstance(back.certificate, Certificate)
     assert back.certificate.order == 40
+
+
+@dataclass(frozen=True)
+class Tagged:
+    name: str
+    counts: dict[str, int]
+    flags: tuple[bool, ...]
+    weights: dict[float, float]
+
+
+def test_csv_keeps_keys_and_text_out_of_the_generated_source():
+    # The codec builds its row functions with eval; keys and cell text that
+    # look like code must come back as data.
+    keys = ["__import__('os')", 'a"b', "x, y", "0)]; raise SystemExit(", "h0"]
+    rows = [
+        Tagged("__import__('os').getcwd()", {k: i for i, k in enumerate(keys)}, (True, False), {0.5: 1.25, 2.0: -3.0}),
+        Tagged('say "hi"\r\nbye', {k: -i for i, k in enumerate(keys)}, (), {0.5: 0.0, 2.0: 1e300}),
+    ]
+    text = to_csv(rows)
+    assert "counts___import__('os')" in text.splitlines()[0]
+    assert from_csv(Tagged, text) == rows

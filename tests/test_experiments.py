@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -240,6 +242,17 @@ def test_loaded_rows_reverify(rows_50):
         f = field_spec(r.p)
         for elements in (r.exact_elements, r.greedy_elements, r.elementary_elements):
             assert generates(elements, f)
+
+
+def test_survey_row_pickles_and_replaces(rows_50):
+    # Rows cross the survey's process pool by pickle; perfbench uses replace.
+    row = rows_50[10]
+    assert not hasattr(row, "__dict__")  # slots
+    assert pickle.loads(pickle.dumps(row)) == row
+    other = dataclasses.replace(row, n_used=row.n_used + 1)
+    assert other.n_used == row.n_used + 1 and other.exact_elements == row.exact_elements
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.p = 5
 
 
 def test_csv_deterministic(rows_50):

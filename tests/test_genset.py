@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from smallgen.genset import (
     CandidateTable,
     InfeasibleCoverError,
     SearchPolicy,
+    _candidate_tables,
     candidate_table,
     certify,
     elementary_generating_set,
@@ -20,8 +22,8 @@ from smallgen.genset import (
 )
 from smallgen.cli import genset_result_json
 from smallgen.experiments import survey_row
-from smallgen.modcore import field_spec, multiplicative_order, residue_signature
-from smallgen.sievelab import primes_upto
+from smallgen.modcore import FieldSpec, field_spec, is_prime, multiplicative_order, residue_signature
+from smallgen.sievelab import p_minus_one_divisors, primes_upto
 
 
 def closure_size(p, gens):
@@ -440,3 +442,82 @@ def test_early_exit_matches_full_scan():
                 want = genset_result_json(f.p, construct(full))
                 assert genset_result_json(f.p, construct(table)) == want, (f.p, policy, name)
     assert stopped_early > 0
+
+
+# ---------------------------------------------------------------------------
+# candidate tables scanned together
+# ---------------------------------------------------------------------------
+
+
+def fields_of(primes):
+    return [FieldSpec(p, divisors) for p, divisors in p_minus_one_divisors(primes)]
+
+
+@pytest.mark.parametrize("epsilon", [0.05, 0.01])
+def test_candidate_tables_match_scalar_below_1e5(epsilon):
+    # Differential oracle: every prime <= 1e5, where at epsilon = 0.01 a
+    # radius doubles in 1219 of the 9591 fields.
+    fields = fields_of(primes_upto(10**5)[1:])
+    policy = SearchPolicy(epsilon=epsilon)
+    want = [candidate_table(f, policy) for f in fields]
+    assert _candidate_tables(fields, policy) == want
+    doubled = sum(t.radius > t.initial for t in want)
+    assert doubled == {0.05: 682, 0.01: 1219}[epsilon]
+
+
+def test_candidate_tables_match_scalar_sampled_to_1e8():
+    rng = random.Random(18)
+    primes = set()
+    while len(primes) < 2000:
+        n = rng.randrange(3, 10**8, 2)
+        if is_prime(n):
+            primes.add(n)
+    fields = fields_of(sorted(primes))
+    assert _candidate_tables(fields) == [candidate_table(f) for f in fields]
+
+
+def test_candidate_tables_mix_in_fields_above_the_kernel_bound():
+    # p > 3037000499 takes the scalar scan; the order of the tables is kept.
+    big = [field_spec(8608456956238879741), field_spec(4611686018427388039)]
+    fields = fields_of([7, 41, 3037000493]) + big[:1] + fields_of([577, 10007]) + big[1:]
+    assert fields[2].p <= 3037000499 < big[1].p
+    assert _candidate_tables(fields) == [candidate_table(f) for f in fields]
+    assert _candidate_tables([]) == []
+
+
+POLICIES_THAT_BITE = [SearchPolicy(expand_on_failure=False), SearchPolicy(hard_cap=4), SearchPolicy(hard_cap=2)]
+
+
+@pytest.mark.parametrize(
+    "policy",
+    POLICIES_THAT_BITE
+    + [SearchPolicy(hard_cap=16), SearchPolicy(epsilon=0.3), SearchPolicy(epsilon=6.0, hard_cap=10**30)],
+)
+def test_candidate_tables_match_scalar_under_caps(policy):
+    # The fields whose scan succeeds, with radii capped short of p - 1.
+    good = []
+    for f in fields_of(primes_upto(5000)[1:]):
+        try:
+            good.append((f, candidate_table(f, policy)))
+        except InfeasibleCoverError:
+            pass
+    assert len(good) > 100
+    assert _candidate_tables([f for f, _ in good], policy) == [t for _, t in good]
+
+
+@pytest.mark.parametrize("policy", POLICIES_THAT_BITE)
+def test_candidate_tables_raise_like_the_scalar_scan(policy):
+    # The first field in order whose scan fails raises the scalar error.
+    fields = fields_of(primes_upto(2000)[1:])
+    first = None
+    for f in fields:
+        try:
+            candidate_table(f, policy)
+        except InfeasibleCoverError as err:
+            first = err
+            break
+    assert first is not None
+    with pytest.raises(InfeasibleCoverError) as err:
+        _candidate_tables(fields, policy)
+    assert (err.value.p, err.value.radius, err.value.uncovered) == (first.p, first.radius, first.uncovered)
+    assert str(err.value) == str(first)

@@ -1,11 +1,15 @@
 import math
+import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from smallgen.modcore import (
+    _POW_MOD_MAX,
     FieldSpec,
+    _pow_mod,
     factorize,
     field_spec,
     is_prime,
@@ -375,3 +379,48 @@ def test_primitive_root_iff_full_order(small_primes):
         f = field_spec(p)
         for n in range(1, p):
             assert is_primitive_root(n, f) == (multiplicative_order(n, f) == p - 1)
+
+
+# ---------------------------------------------------------------------------
+# int64 modpow kernel
+# ---------------------------------------------------------------------------
+
+
+def test_pow_mod_bound_is_isqrt_int64_max():
+    assert _POW_MOD_MAX == math.isqrt(2**63 - 1)
+
+
+def test_pow_mod_matches_pow_random():
+    rng = random.Random(7)
+    base = [rng.randrange(-(2**40), 2**40) for _ in range(3000)]
+    exp = [rng.randrange(2**62) for _ in range(3000)]
+    mod = [rng.choice((rng.randrange(1, 2**20), rng.randrange(1, _POW_MOD_MAX + 1), _POW_MOD_MAX)) for _ in range(3000)]
+    got = _pow_mod(base, exp, mod)
+    assert got.dtype == np.int64
+    assert got.tolist() == [pow(b, e, m) for b, e, m in zip(base, exp, mod)]
+
+
+def test_pow_mod_edges_and_broadcasting():
+    p = 1000003
+    bases = np.array([0, 1, 2, p - 1, p, p + 5, 3 * p, -1])  # 0, base >= mod, negative
+    for e in (0, 1, 2, (p - 1) // 2, p - 1, 2**62):
+        assert _pow_mod(bases, e, p).tolist() == [pow(int(b), e, p) for b in bases]
+    assert _pow_mod(5, 0, 1).tolist() == pow(5, 0, 1) == 0
+    assert _pow_mod(0, 0, 7).tolist() == 1
+    grid = _pow_mod(np.arange(2, 6)[:, None], [[3, 5]], [7, 11])
+    assert grid.tolist() == [[pow(b, e, m) for e, m in ((3, 7), (5, 11))] for b in range(2, 6)]
+    top = _POW_MOD_MAX
+    assert int(_pow_mod(top - 1, 2**61 + 3, top)) == pow(top - 1, 2**61 + 3, top)
+
+
+@pytest.mark.parametrize("mod", [_POW_MOD_MAX + 1, 2**62, 2**64, 0, -5])
+def test_pow_mod_refuses_mod_outside_its_exact_range(mod):
+    with pytest.raises(ValueError):
+        _pow_mod(2, 3, mod)
+    with pytest.raises(ValueError):
+        _pow_mod([2, 3], 3, [7, mod])
+
+
+def test_pow_mod_refuses_negative_exp():
+    with pytest.raises(ValueError):
+        _pow_mod(2, -1, 7)

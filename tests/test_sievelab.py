@@ -133,8 +133,9 @@ def test_residue_set_members_are_residues():
                 assert t not in members
             else:
                 assert (t in members) == (t % 31 in residues)
-    # Against the per-prime pow filter: p <= x (t = p is a candidate), p > x, p = x.
-    for x, p in ((500, 31), (10**4, 1009), (200, 1009), (31, 31)):
+    # Against the per-prime pow filter: p <= x (t = p is a candidate), p > x,
+    # p = x, and p on both sides of the _pow_mod bound.
+    for x, p in ((500, 31), (10**4, 1009), (200, 1009), (31, 31), (2 * 10**5, 1000003), (10**4, 4611686018427388039)):
         f = field_spec(p)
         for i, (q, _) in enumerate(f.divisors):
             expected = [t for t in primes_upto(x).tolist() if t % p and pow(t, (p - 1) // q, p) == 1]
