@@ -20,11 +20,15 @@ def smallness_threshold(n: int, l: float) -> float:
     """The cutoff ln(n+1) * l**l below which a prime divisor counts as small."""
     if n < 1:
         raise ValueError(f"threshold requires n >= 1, got {n}")
+    return _cutoff(math.log(n + 1), l)
+
+
+def _cutoff(log_n: float, l: float) -> float:
+    """log_n * l**l for a checked l, saturating to inf where l**l overflows."""
     _check_l(l)
-    power_log = l * math.log(l)
-    if power_log > _LOG_OVERFLOW:
+    if l * math.log(l) > _LOG_OVERFLOW:
         return math.inf
-    return math.log(n + 1) * l**l
+    return log_n * l**l
 
 
 def _check_l(l: float) -> None:
@@ -51,8 +55,7 @@ def anatomy_record(n: int, l_values, factors=None) -> AnatomyRecord:
 
     factors, if given, is the factorization of n as (prime, multiplicity)
     pairs, e.g. FieldSpec.divisors for n = p - 1; it is then not recomputed.
-    The threshold and the bound are smallness_threshold's and bound_general's
-    expressions, with ln(n + 1) taken once.
+    ln(n + 1) is taken once for every l.
     """
     if n < 1:
         raise ValueError(f"anatomy requires n >= 1, got {n}")
@@ -62,15 +65,11 @@ def anatomy_record(n: int, l_values, factors=None) -> AnatomyRecord:
     log_n = math.log(n + 1)
     omega_map: dict[float, int] = {}
     thresholds: dict[float, float] = {}
-    bounds: dict[float, float] = {}
     for l in l_values:
-        _check_l(l)
-        cutoff = math.inf if l * math.log(l) > _LOG_OVERFLOW else log_n * l**l
-        w = sum(1 for q, _ in factors if q <= cutoff)
-        key = float(l)
-        thresholds[key] = cutoff
-        omega_map[key] = w
-        bounds[key] = w + (om - w) / math.log(key) if key > 1 else math.nan
+        cutoff = _cutoff(log_n, l)
+        thresholds[float(l)] = cutoff
+        omega_map[float(l)] = sum(1 for q, _ in factors if q <= cutoff)
+    bounds = {l: bound_general(om, w, l) if l > 1 else math.nan for l, w in omega_map.items()}
     return AnatomyRecord(n=n, omega=om, omega_l=omega_map, thresholds=thresholds, bounds=bounds)
 
 

@@ -3,9 +3,9 @@
 Rows are pure functions of their prime, so surveys may fan out over a process
 pool; results are always merged in ascending-p order and serialized with fixed
 formatting, making output bytes independent of the parallelism degree.  A
-survey works in chunks of _DIVISOR_CHUNK primes: their p - 1 are factored by
-one batch pass, their candidate tables are scanned together by the int64
-modpow kernel, and then each row is built from its table.  survey_row, certify
+survey works in chunks of at most _SCAN_CHUNK primes: their p - 1 come
+factored from one batch pass, their candidate tables are scanned together by
+the int64 modpow kernel, and then each row is built from its table.  survey_row, certify
 and the CLI's genset scan one field with candidate_table, the scalar oracle.
 """
 
@@ -32,7 +32,7 @@ from .genset import (
     greedy_block_generating_set,
 )
 from .modcore import FieldSpec, field_spec
-from .sievelab import _DIVISOR_CHUNK, _odd_blocks, p_minus_one_divisors, primes_upto
+from .sievelab import _odd_blocks, p_minus_one_divisors, primes_upto
 
 # Meissel-Mertens constant: sum_{p<=T} 1/p = ln ln T + M + o(1).
 MEISSEL_MERTENS = 0.26149721284764278
@@ -45,6 +45,11 @@ MEISSEL_MERTENS = 0.26149721284764278
 # pi(x): a chunk of strides above 4096 gathers under half a block of positions.
 _BLOCKED_STRIDE_MAX = 4096
 _STRIDE_CHUNK = 1 << 14
+
+# survey scans at most this many fields' candidate tables together, as one
+# task.  With threads > 1 a task is smaller where the survey is too short
+# to give each worker about eight tasks.
+_SCAN_CHUNK = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,8 +141,9 @@ def survey(
     The divisors of every selected p - 1 come from one batch pass,
     p_minus_one_divisors, whose working memory is bounded by its chunk of
     primes; no row factorizes, and each FieldSpec still checks its divisors.
-    Each worker task is one chunk of _DIVISOR_CHUNK primes, whose candidate
-    tables genset._candidate_tables scans together.
+    Each task is one chunk of primes, whose candidate tables
+    genset._candidate_tables scans together: _SCAN_CHUNK primes, or with
+    threads > 1 fewer where that gives each worker about eight tasks.
     """
     if p_min < 3:
         raise ValueError(f"p_min must be >= 3, got {p_min}")
@@ -157,7 +163,8 @@ def survey(
     if sample is not None:
         primes = primes[:: math.ceil(primes.size / sample)]
     pairs = p_minus_one_divisors(primes)
-    chunks = iter(lambda: list(islice(pairs, _DIVISOR_CHUNK)), [])
+    size = _SCAN_CHUNK if threads == 1 else min(_SCAN_CHUNK, math.ceil(primes.size / (threads * 8)))
+    chunks = iter(lambda: list(islice(pairs, size)), [])
     worker = partial(_chunk_rows, l_values=l_values, policy=policy)
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .modcore import _POW_MOD_MAX, FieldSpec, _pow_mod, multiplicative_order, residue_signature
+from .modcore import FieldSpec, _pow_mod, multiplicative_order, residue_signature
 
 # Search radius grows like p**(1/(4*sqrt(e)) + epsilon).
 GENERATION_EXPONENT = 1.0 / (4.0 * math.sqrt(math.e))
@@ -156,20 +156,15 @@ def candidate_table(field: FieldSpec, policy: SearchPolicy = SearchPolicy()) -> 
 def _candidate_tables(fields, policy: SearchPolicy = SearchPolicy()) -> list[CandidateTable]:
     """[candidate_table(f, policy) for f in fields], with the fields scanned together.
 
-    The fields with p <= _POW_MOD_MAX scan each candidate n at the same time,
-    so one _pow_mod call per prime n tests every live (field, q) pair; a
-    composite n = a * b takes its powers as the products of a's and b's.
-    Each field keeps candidate_table's stops: its first full mask, or the end
-    of a radius step with every divisor index covered; else its radius
-    doubles.  A field that would raise InfeasibleCoverError, and one with
-    p > _POW_MOD_MAX, is left to candidate_table, called in field order.
+    Each candidate n is scanned for every field at the same time, so one
+    _pow_mod call per prime n tests every live (field, q) pair; a composite
+    n = a * b takes its powers as the products of a's and b's.  Each field
+    keeps candidate_table's stops: its first full mask, or the end of a
+    radius step with every divisor index covered; else its radius doubles.
+    A field that would raise InfeasibleCoverError is left to candidate_table,
+    called in field order.  Every p must be at most _POW_MOD_MAX, as every
+    survey prime is: _pow_mod raises ValueError for a larger one.
     """
-    scanned = iter(_scan_together([f for f in fields if f.p <= _POW_MOD_MAX], policy))
-    return [(next(scanned) if f.p <= _POW_MOD_MAX else None) or candidate_table(f, policy) for f in fields]
-
-
-def _scan_together(fields, policy: SearchPolicy) -> list[CandidateTable | None]:
-    """The tables of fields with p <= _POW_MOD_MAX; None where the scan would raise."""
     if not fields:
         return []
     p = np.array([f.p for f in fields], dtype=np.int64)
@@ -230,14 +225,14 @@ def _scan_together(fields, policy: SearchPolicy) -> list[CandidateTable | None]:
     # Each field scanned n = 2, 3, ... in turn: gather its masks in n order.
     who = np.concatenate(scanned)
     masks = np.concatenate(scanned_masks)[np.argsort(who, kind="stable")].tolist()
-    tables: list[CandidateTable | None] = []
+    tables = []
     start = 0
     for j, count in enumerate(np.bincount(who, minlength=p.size).tolist()):
-        table = None
         if covered[j]:
             masks_j = dict(zip(range(2, 2 + count), masks[start : start + count]))
-            table = CandidateTable(field=fields[j], radius=radius[j], initial=initial[j], masks=masks_j)
-        tables.append(table)
+            tables.append(CandidateTable(field=fields[j], radius=radius[j], initial=initial[j], masks=masks_j))
+        else:
+            tables.append(candidate_table(fields[j], policy))
         start += count
     return tables
 

@@ -71,9 +71,9 @@ def test_anatomy_record():
 
 
 def test_anatomy_record_floats_match_threshold_and_bound():
-    # anatomy_record inlines smallness_threshold and bound_general; the
-    # floats must be the same bits, including the threshold that saturates
-    # to inf (l = 150 and 200), and for int l as well as float l.
+    # anatomy_record takes ln(n + 1) once for smallness_threshold's cutoff;
+    # the floats must be the same bits, including the threshold that
+    # saturates to inf (l = 150 and 200), and for int l as well as float l.
     ls = (1, 1.5, 2, 3, 150, 200, 2.0, 3.0)
     ns = [1, 2, 6, 12, 720720, 10**6 - 1, 2**61 - 2, 2**63 - 25] + list(range(3, 400, 7))
     saw_inf = False

@@ -476,13 +476,14 @@ def test_candidate_tables_match_scalar_sampled_to_1e8():
     assert _candidate_tables(fields) == [candidate_table(f) for f in fields]
 
 
-def test_candidate_tables_mix_in_fields_above_the_kernel_bound():
-    # p > 3037000499 takes the scalar scan; the order of the tables is kept.
-    big = [field_spec(8608456956238879741), field_spec(4611686018427388039)]
-    fields = fields_of([7, 41, 3037000493]) + big[:1] + fields_of([577, 10007]) + big[1:]
-    assert fields[2].p <= 3037000499 < big[1].p
+def test_candidate_tables_take_p_up_to_the_kernel_bound_only():
+    # p = 3037000493 is the largest prime <= isqrt(2**63 - 1); a batch with
+    # a p above the bound is refused by _pow_mod, not scanned wrongly.
+    fields = fields_of([7, 41, 3037000493])
     assert _candidate_tables(fields) == [candidate_table(f) for f in fields]
     assert _candidate_tables([]) == []
+    with pytest.raises(ValueError, match="_pow_mod requires"):
+        _candidate_tables(fields + [field_spec(4611686018427388039)])
 
 
 POLICIES_THAT_BITE = [SearchPolicy(expand_on_failure=False), SearchPolicy(hard_cap=4), SearchPolicy(hard_cap=2)]
