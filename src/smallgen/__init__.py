@@ -10,7 +10,6 @@ from .anatomy import (
     DyadicSchedule,
     anatomy_record,
     bound_general,
-    bound_iterated,
     dyadic_schedule,
 )
 from .genset import (

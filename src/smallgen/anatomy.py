@@ -82,34 +82,6 @@ def bound_general(omega_total: int, omega_small: int, l: float) -> float:
     return omega_small + (omega_total - omega_small) / math.log(l)
 
 
-def bound_iterated(omega_levels, levels) -> float:
-    """Telescoped multi-level bound shape.
-
-    levels is (l_1, ..., l_N) strictly decreasing; omega_levels is
-    (omega_{l_0}, ..., omega_{l_N}) with the level-0 entry counting every
-    divisor.  Returns omega_{l_N} + sum (omega_{l_n} - omega_{l_{n+1}}) / ln(l_{n+1}).
-
-    For every p < 2**63 the dyadic schedule has at most one level, and with
-    one level this equals bound_general(omega, omega_{l_1}, l_1).  It is kept
-    because it is the paper's multi-level bound.
-    """
-    omega_levels = list(omega_levels)
-    levels = list(levels)
-    if len(omega_levels) != len(levels) + 1:
-        raise ValueError(
-            f"need one more omega entry than levels, got {len(omega_levels)} vs {len(levels)}"
-        )
-    for a, b in zip(levels, levels[1:]):
-        if not a > b:
-            raise ValueError("levels must be strictly decreasing")
-    if levels and levels[-1] <= 1.0:
-        raise ValueError("every level must exceed 1")
-    total = float(omega_levels[-1])
-    for n, l_next in enumerate(levels):
-        total += (omega_levels[n] - omega_levels[n + 1]) / math.log(l_next)
-    return total
-
-
 @dataclass(frozen=True)
 class DyadicSchedule:
     """Halving-exponent level sequence for a prime p; degenerate when empty."""

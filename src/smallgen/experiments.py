@@ -3,9 +3,9 @@
 Rows are pure functions of their prime, so surveys may fan out over a process
 pool; results are always merged in ascending-p order and serialized with fixed
 formatting, making output bytes independent of the parallelism degree.  A
-survey works in chunks of at most _SCAN_CHUNK primes: their p - 1 come
-factored from one batch pass, their candidate tables are scanned together by
-the int64 modpow kernel, and then each row is built from its table.  survey_row, certify
+survey task is one chunk of at most _SCAN_CHUNK primes, handled end to end:
+one batch pass factors its p - 1, the int64 modpow kernel scans its candidate
+tables together, and each row is built from its table.  survey_row, certify
 and the CLI's genset scan one field with candidate_table, the scalar oracle.
 """
 
@@ -16,7 +16,6 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 
 import numpy as np
 
@@ -46,9 +45,9 @@ MEISSEL_MERTENS = 0.26149721284764278
 _BLOCKED_STRIDE_MAX = 4096
 _STRIDE_CHUNK = 1 << 14
 
-# survey scans at most this many fields' candidate tables together, as one
-# task.  With threads > 1 a task is smaller where the survey is too short
-# to give each worker about eight tasks.
+# A survey task is at most this many primes, factored and scanned together.
+# With threads > 1 a task is smaller where the survey is too short to give
+# each worker about eight tasks.
 _SCAN_CHUNK = 1024
 
 
@@ -95,11 +94,11 @@ def survey_row(p: int, l_values=(2.0, 3.0), policy: SearchPolicy = SearchPolicy(
     return _row(field, candidate_table(field, policy), l_values)
 
 
-def _chunk_rows(pairs, l_values, policy) -> list[SurveyRow]:
-    """The rows of a chunk of (p, divisors of p - 1) pairs from the batch pass:
-    FieldSpec checks each pair, then the chunk's candidate tables are scanned
-    together."""
-    fields = [FieldSpec(p, divisors) for p, divisors in pairs]
+def _chunk_rows(primes, l_values, policy) -> list[SurveyRow]:
+    """The rows of a chunk of primes: one batch pass factors their p - 1,
+    FieldSpec checks each p with its divisors, then the chunk's candidate
+    tables are scanned together."""
+    fields = [FieldSpec(p, divisors) for p, divisors in p_minus_one_divisors(primes)]
     return [_row(f, t, l_values) for f, t in zip(fields, _candidate_tables(fields, policy))]
 
 
@@ -138,12 +137,12 @@ def survey(
     With sample=k, every ceil(n/k)-th prime of the range is taken, starting
     from the first.  Rows come back in ascending p regardless of threads.
     Sieves [0, p_max], so p_max over the sieve cap raises ResourceLimitError.
-    The divisors of every selected p - 1 come from one batch pass,
-    p_minus_one_divisors, whose working memory is bounded by its chunk of
-    primes; no row factorizes, and each FieldSpec still checks its divisors.
-    Each task is one chunk of primes, whose candidate tables
-    genset._candidate_tables scans together: _SCAN_CHUNK primes, or with
-    threads > 1 fewer where that gives each worker about eight tasks.
+    The selected primes are cut once into tasks of _SCAN_CHUNK primes, or
+    with threads > 1 fewer where that gives each worker about eight tasks.
+    Each task, in a pool worker when threads > 1, factors its p - 1 in one
+    batch pass by the primes up to sqrt(its max p - 1), p_minus_one_divisors,
+    so no row factorizes and each FieldSpec still checks its divisors; then
+    genset._candidate_tables scans its tables together and its rows are built.
     """
     if p_min < 3:
         raise ValueError(f"p_min must be >= 3, got {p_min}")
@@ -162,9 +161,8 @@ def survey(
         return []
     if sample is not None:
         primes = primes[:: math.ceil(primes.size / sample)]
-    pairs = p_minus_one_divisors(primes)
     size = _SCAN_CHUNK if threads == 1 else min(_SCAN_CHUNK, math.ceil(primes.size / (threads * 8)))
-    chunks = iter(lambda: list(islice(pairs, size)), [])
+    chunks = [primes[lo : lo + size] for lo in range(0, primes.size, size)]
     worker = partial(_chunk_rows, l_values=l_values, policy=policy)
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:

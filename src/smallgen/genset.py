@@ -48,8 +48,9 @@ class SearchPolicy:
     hard_cap: int | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        # 16 is the largest whole epsilon whose initial radius is a finite float for every p < 2**63.
+        if not 0 < self.epsilon <= 16:
+            raise ValueError(f"epsilon must lie in (0, 16], got {self.epsilon}")
         if self.hard_cap is not None and self.hard_cap < 2:
             raise ValueError(f"hard_cap must be >= 2, got {self.hard_cap}")
 
@@ -156,42 +157,35 @@ def candidate_table(field: FieldSpec, policy: SearchPolicy = SearchPolicy()) -> 
 def _candidate_tables(fields, policy: SearchPolicy = SearchPolicy()) -> list[CandidateTable]:
     """[candidate_table(f, policy) for f in fields], with the fields scanned together.
 
-    Each candidate n is scanned for every field at the same time, so one
-    _pow_mod call per prime n tests every live (field, q) pair; a composite
-    n = a * b takes its powers as the products of a's and b's.  Each field
-    keeps candidate_table's stops: its first full mask, or the end of a
-    radius step with every divisor index covered; else its radius doubles.
-    A field that would raise InfeasibleCoverError is left to candidate_table,
-    called in field order.  Every p must be at most _POW_MOD_MAX, as every
-    survey prime is: _pow_mod raises ValueError for a larger one.
+    Each candidate n is scanned for every live field at once: one _pow_mod
+    call per prime n tests every live (field, q) pair (a composite n = a * b
+    multiplies a's and b's powers), and one bincount over the field ids gives
+    each field's mask.  Each field keeps candidate_table's stops: its first
+    full mask, or the end of a radius step with every divisor index covered;
+    else its radius doubles.  A field that would raise InfeasibleCoverError
+    is left to candidate_table, in field order.  Every p must be at most
+    _POW_MOD_MAX, as every survey prime is, else _pow_mod raises ValueError.
     """
-    if not fields:
-        return []
-    p = np.array([f.p for f in fields], dtype=np.int64)
-    r = np.array([f.r for f in fields], dtype=np.int64)
     initial = [policy.initial_radius(f.p) for f in fields]
-    # Python ints: a policy's radius and cap may pass int64.
-    cap = np.array([policy.cap(f.p) for f in fields], dtype=object)
-    radius = np.minimum(np.array(initial, dtype=object), cap)
-    covered = np.zeros(p.size, dtype=bool)
-    # The live fields: their index, the last n of their radius step, their
-    # union and full masks.  Their (field, q) pairs, grouped by field: the
-    # field's position among the live ones, p, (p - 1) / q, q's mask bit and
-    # the pair's index among all pairs.
-    live = np.arange(p.size)
-    limit = np.minimum(radius, p - 1).astype(np.int64)  # n = p never contributes
-    union = np.zeros(p.size, dtype=np.int64)
-    full = (1 << r) - 1
-    owner = np.repeat(live, r)
-    mod = p[owner]
+    cap = [policy.cap(f.p) for f in fields]
+    radius = [min(i, c) for i, c in zip(initial, cap)]
+    limit = [min(x, f.p - 1) for x, f in zip(radius, fields)]  # n = p never contributes
+    full = [(1 << f.r) - 1 for f in fields]
+    union = [0] * len(fields)
+    masks = [{} for _ in fields]
+    # The (field, q) pairs of the live fields: the field's id, p, (p - 1) / q,
+    # q's mask bit and the pair's index among all pairs.
+    r = [f.r for f in fields]
+    owner = np.repeat(np.arange(len(fields)), r)
+    mod = np.repeat(np.array([f.p for f in fields], dtype=np.int64), r)
     exp = (mod - 1) // np.array([q for f in fields for q, _ in f.divisors], dtype=np.int64)
-    bit = 1 << (np.arange(owner.size) - np.repeat(np.cumsum(r) - r, r))
+    bit = 1 << np.array([i for f in fields for i in range(f.r)], dtype=np.int64)
     pair = np.arange(owner.size)
-    powers = {}  # n -> n**((p - 1) / q) % p of each pair live at n, by pair index
     n_pairs = owner.size
-    scanned, scanned_masks = [], []  # per candidate n: the live fields and their masks
+    powers = {}  # n -> n**((p - 1) / q) % p of each pair live at n, by pair index
+    live = list(range(len(fields)))
     n = 2
-    while live.size:
+    while live:
         a = next((a for a in range(2, math.isqrt(n) + 1) if n % a == 0), None)
         if a is None:  # n is prime
             value = _pow_mod(n, exp, mod)
@@ -200,41 +194,27 @@ def _candidate_tables(fields, policy: SearchPolicy = SearchPolicy()) -> list[Can
         powers[n] = np.empty(n_pairs, dtype=np.int64)
         powers[n][pair] = value
         nonres = value != 1
-        mask = np.bincount(owner[nonres], weights=bit[nonres], minlength=live.size).astype(np.int64)
-        scanned.append(live)
-        scanned_masks.append(mask)
-        union |= mask
-        end = np.flatnonzero((mask == full) | (n == limit))
-        if end.size:
-            stay = np.ones(live.size, dtype=bool)
-            stay[end] = False
-            ended = live[end]
-            done = union[end] == full[end]
-            covered[ended[done]] = True
-            if policy.expand_on_failure:
-                grow = ~done & (radius[ended] < cap[ended])
-                j = ended[grow]
-                radius[j] = np.minimum(2 * radius[j], cap[j])
-                limit[end[grow]] = np.minimum(radius[j], p[j] - 1)
-                stay[end[grow]] = True
-            live, limit, union, full = live[stay], limit[stay], union[stay], full[stay]
-            keep = stay[owner]
-            owner = (np.cumsum(stay) - 1)[owner[keep]]
-            mod, exp, bit, pair = mod[keep], exp[keep], bit[keep], pair[keep]
+        mask_of = np.bincount(owner[nonres], weights=bit[nonres], minlength=len(fields)).astype(np.int64).tolist()
+        stay = []
+        for j in live:
+            mask = masks[j][n] = mask_of[j]
+            union[j] |= mask
+            if mask != full[j] and n < limit[j]:
+                stay.append(j)
+            elif union[j] != full[j] and policy.expand_on_failure and radius[j] < cap[j]:
+                radius[j] = min(2 * radius[j], cap[j])
+                limit[j] = min(radius[j], fields[j].p - 1)
+                stay.append(j)
+        if 0 < len(stay) < len(live):  # an empty stay ends the scan
+            keep = np.isin(owner, stay, kind="table")  # a sort would unique stay and import numpy.ma
+            owner, mod, exp, bit, pair = owner[keep], mod[keep], exp[keep], bit[keep], pair[keep]
+        live = stay
         n += 1
-    # Each field scanned n = 2, 3, ... in turn: gather its masks in n order.
-    who = np.concatenate(scanned)
-    masks = np.concatenate(scanned_masks)[np.argsort(who, kind="stable")].tolist()
-    tables = []
-    start = 0
-    for j, count in enumerate(np.bincount(who, minlength=p.size).tolist()):
-        if covered[j]:
-            masks_j = dict(zip(range(2, 2 + count), masks[start : start + count]))
-            tables.append(CandidateTable(field=fields[j], radius=radius[j], initial=initial[j], masks=masks_j))
-        else:
-            tables.append(candidate_table(fields[j], policy))
-        start += count
-    return tables
+    # A field whose union is not full stopped uncovered: candidate_table raises for it.
+    return [
+        CandidateTable(f, radius[j], initial[j], masks[j]) if union[j] == full[j] else candidate_table(f, policy)
+        for j, f in enumerate(fields)
+    ]
 
 
 def _combine(coverage: dict[int, int], field: FieldSpec) -> int:

@@ -14,7 +14,8 @@ over SIEVE_LIMIT; its base primes come from itself, run to sqrt(limit).
 prime_flags fills its array with it, and the split, psi_count and
 experiments.density_experiment stream its blocks without holding an x-sized
 array.  p_minus_one_divisors factors p - 1 for many primes at once, by one
-vectorized trial division per chunk of primes.
+vectorized trial division over all of them; a survey calls it once per
+chunk of primes.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ SIEVE_LIMIT = 10**8  # one flag per odd integer: about 50 MB at the cap
 # 0.16-0.21 s with 2 MiB.  It is also the block that density_experiment and
 # psi_count read while the sieve streams, so it bounds their working memory.
 _SEGMENT_SPAN = 1 << 20
-_DIVISOR_CHUNK = 1024  # primes per pass of p_minus_one_divisors
 
 
 class ResourceLimitError(RuntimeError):
@@ -140,40 +140,34 @@ def p_minus_one_divisors(primes):
     """Yield (p, divisors) for each p in primes, in order, where divisors holds
     the (q, alpha) pairs of p - 1 with q increasing: FieldSpec's divisors.
 
-    A vectorized trial division over chunks of _DIVISOR_CHUNK primes: each
-    prime q <= sqrt(max p - 1) is divided out of the chunk's p - 1 at once,
-    and a remainder above 1 is the one prime factor above that bound.  The
-    cost is pi(sqrt(p_max)) array operations per chunk, and the working
-    arrays are bounded by the chunk, not by the range.
+    A vectorized trial division: each prime q <= sqrt(max p - 1) is divided
+    out of every p - 1 at once, and a remainder above 1 is the one prime
+    factor above that bound.  The cost is pi(sqrt(max p)) array operations,
+    and the working arrays are the size of primes.
     """
     primes = np.asarray(primes, dtype=np.int64)
-    if primes.size == 0:
-        return
-    if int(primes.min()) < 2:
+    if primes.size and int(primes.min()) < 2:
         raise ValueError(f"p - 1 must be >= 1, got p = {int(primes.min())}")
-    base = primes_upto(math.isqrt(int(primes.max()) - 1)).tolist()
-    for lo in range(0, primes.size, _DIVISOR_CHUNK):
-        chunk = primes[lo : lo + _DIVISOR_CHUNK]
-        rem = chunk - 1
-        divisors = [[] for _ in range(chunk.size)]
-        for q in base:
-            idx = np.flatnonzero(rem % q == 0)
-            if idx.size == 0:
-                continue
-            sub = rem[idx] // q
-            alpha = np.ones(idx.size, dtype=np.int64)
+    rem = primes - 1
+    divisors = [[] for _ in range(primes.size)]
+    for q in primes_upto(math.isqrt(int(primes.max(initial=2)) - 1)).tolist():
+        idx = np.flatnonzero(rem % q == 0)
+        if idx.size == 0:
+            continue
+        sub = rem[idx] // q
+        alpha = np.ones(idx.size, dtype=np.int64)
+        hit = sub % q == 0
+        while hit.any():
+            sub[hit] //= q
+            alpha += hit
             hit = sub % q == 0
-            while hit.any():
-                sub[hit] //= q
-                alpha += hit
-                hit = sub % q == 0
-            rem[idx] = sub
-            for i, a in zip(idx.tolist(), alpha.tolist()):
-                divisors[i].append((q, a))
-        for p, pairs, r in zip(chunk.tolist(), divisors, rem.tolist()):
-            if r > 1:
-                pairs.append((r, 1))
-            yield p, tuple(pairs)
+        rem[idx] = sub
+        for i, a in zip(idx.tolist(), alpha.tolist()):
+            divisors[i].append((q, a))
+    for p, pairs, r in zip(primes.tolist(), divisors, rem.tolist()):
+        if r > 1:
+            pairs.append((r, 1))
+        yield p, tuple(pairs)
 
 
 @dataclass(frozen=True)

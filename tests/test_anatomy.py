@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from smallgen.anatomy import (
     anatomy_record,
     bound_general,
-    bound_iterated,
     dyadic_schedule,
     smallness_threshold,
     _iterated_log,
@@ -124,32 +123,6 @@ def test_bound_general_collapses_when_all_small(om, l):
     assert math.isclose(bound_general(om, om, l), om)
 
 
-def test_bound_iterated_single_level_collapses():
-    assert bound_iterated([7, 7], [math.e**3]) == 7.0
-
-
-def test_bound_iterated_example():
-    got = bound_iterated([8, 4, 2], [math.e**4, math.e**2])
-    assert math.isclose(got, 2 + (4 - 2) / 2 + (8 - 4) / 4)
-    assert math.isclose(got, 4.0)
-
-
-def test_bound_iterated_validation():
-    with pytest.raises(ValueError):
-        bound_iterated([3, 2], [4.0, 2.0])  # misaligned lengths
-    with pytest.raises(ValueError):
-        bound_iterated([3, 2, 1], [2.0, 4.0])  # not decreasing
-    with pytest.raises(ValueError):
-        bound_iterated([3, 2], [1.0])  # level must exceed 1
-
-
-def test_bound_iterated_matches_general_with_one_level():
-    # one level whose threshold captures everything reduces to the single-l shape
-    om = 5
-    for l in (2.0, 7.5, 40.0):
-        assert math.isclose(bound_iterated([om, om], [l]), bound_general(om, om, l))
-
-
 # ---------------------------------------------------------------------------
 # dyadic schedule
 # ---------------------------------------------------------------------------
@@ -205,5 +178,4 @@ def test_degenerate_schedule_falls_back_to_single_level():
     s = dyadic_schedule(10**6 + 3)
     assert s.degenerate
     om = omega(10**6 + 2)
-    assert bound_iterated([om], []) == float(om)
     assert bound_general(om, omega_l(10**6 + 2, 3.0), 3.0) > 0

@@ -34,12 +34,16 @@ def test_exit_codes(capsys):
     # Inputs outside the domain exit 2, each refused by the one check that
     # owns it, with nothing on stdout and the bad value named on stderr.
     for argv, named in [
-        ("genset --p 13 --epsilon 0", "epsilon must be positive, got 0.0"),
+        ("genset --p 13 --epsilon 0", "epsilon must lie in (0, 16], got 0.0"),
         ("genset --p 13 --hard-cap 1", "hard_cap must be >= 2, got 1"),
         ("genset --p 13 --method exact --size-cap 0", "size_cap must be >= 1, got 0"),
         ("genset --p 13 --method greedy --size-cap 0", "size_cap must be >= 1, got 0"),
         ("survey --min 2 --max 50", "p_min must be >= 3, got 2"),
-        ("survey --min 3 --max 50 --epsilon -1", "epsilon must be positive, got -1.0"),
+        ("survey --min 3 --max 50 --epsilon -1", "epsilon must lie in (0, 16], got -1.0"),
+        ("genset --p 1000003 --epsilon inf", "epsilon must lie in (0, 16], got inf"),
+        ("genset --p 1000003 --epsilon 1000", "epsilon must lie in (0, 16], got 1000.0"),
+        ("genset --p 1000003 --epsilon nan", "epsilon must lie in (0, 16], got nan"),
+        ("survey --min 3 --max 100 --epsilon 1000", "epsilon must lie in (0, 16], got 1000.0"),
         ("survey --min 3 --max 50 --sample 0", "sample must be >= 1, got 0"),
         ("survey --min 3 --max 2 --sample 0", "sample must be >= 1, got 0"),
         ("survey --min 3 --max 50 --threads 0", "threads must be >= 1, got 0"),

@@ -89,9 +89,9 @@ def test_survey_stride_sampling():
 
 
 def test_survey_threads_deterministic(rows_50):
-    # 3..10000 holds 1228 primes, more than one chunk of the batch divisor pass.
+    # 3..10000 holds 1228 primes, more than one survey task.
     rows_10k = survey(3, 10_000)
-    assert len(rows_10k) > sievelab._DIVISOR_CHUNK
+    assert len(rows_10k) > experiments._SCAN_CHUNK
     for p_max, rows in ((50, rows_50), (10_000, rows_10k)):
         rows_mt = survey(3, p_max, l_values=(2.0, 3.0), threads=2)
         assert rows_mt == rows
@@ -100,6 +100,13 @@ def test_survey_threads_deterministic(rows_50):
 
 def test_survey_row_matches_batch(rows_50):
     assert survey_row(7, (2.0, 3.0)) == rows_50[2]
+    # Every row of a survey is the oracle's row: 1228 primes in two tasks,
+    # and a sample whose tasks each factor by the primes up to the square
+    # root of their own largest p - 1.
+    for rows in (survey(3, 10_000), survey(10**6, 10**8, sample=1500, threads=2)):
+        assert len(rows) > experiments._SCAN_CHUNK
+        for r in rows:
+            assert r == survey_row(r.p), r.p
 
 
 def test_survey_row_scans_once(monkeypatch):

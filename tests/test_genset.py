@@ -88,6 +88,11 @@ def test_initial_radius():
 def test_policy_validation():
     with pytest.raises(ValueError):
         SearchPolicy(epsilon=0.0)
+    # The initial radius overflows a float past 16.1 at p = 2**63 - 25.
+    for epsilon in (math.inf, math.nan, 16.2, 1000.0):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 16\]"):
+            SearchPolicy(epsilon=epsilon)
+    assert SearchPolicy(epsilon=16.0).initial_radius(2**63 - 25) > 10**306
     with pytest.raises(ValueError):
         SearchPolicy(hard_cap=1)
 

@@ -48,7 +48,6 @@ def test_prime_flags_against_miller_rabin():
 def test_p_minus_one_divisors_match_factorize():
     # Every odd prime to 1e5, then 2000 consecutive primes from each of three
     # seeded points below 1e8 (found by is_prime, so nothing sieves to 1e8).
-    # Each range spans more than one chunk of the batch pass.
     windows = [primes_upto(10**5)[1:]]
     rng = random.Random(12)
     for _ in range(3):
@@ -60,7 +59,6 @@ def test_p_minus_one_divisors_match_factorize():
             n += 2
         windows.append(np.array(window, dtype=np.int64))
     for window in windows:
-        assert window.size > sievelab._DIVISOR_CHUNK
         got = list(p_minus_one_divisors(window))
         assert [p for p, _ in got] == window.tolist()
         for p, divisors in got:
