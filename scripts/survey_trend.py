@@ -13,6 +13,7 @@ import sys
 import time
 
 from smallgen.experiments import quantile_report, survey
+from smallgen.genset import SearchPolicy
 
 
 def main() -> int:
@@ -21,6 +22,7 @@ def main() -> int:
     ap.add_argument("--per-decade", type=int, default=300)
     ap.add_argument("--epsilon", type=float, default=0.05)
     args = ap.parse_args()
+    policy = SearchPolicy(epsilon=args.epsilon)
 
     print(f"{'decade':>14} {'rows':>5} {'med h_ex':>8} {'max h_ex':>8} "
           f"{'med h_el':>8} {'max omega':>9} {'viol%':>6} {'max n_used':>10}")
@@ -29,7 +31,7 @@ def main() -> int:
     t0 = time.time()
     while lo < args.max:
         hi = min(hi, args.max)
-        rows = survey(lo, hi, sample=args.per_decade)
+        rows = survey(lo, hi, sample=args.per_decade, policy=policy)
         if rows:
             med_ex = dict(quantile_report(rows, "h_exact", [0.5]))[0.5]
             max_ex = max(r.h_exact for r in rows)

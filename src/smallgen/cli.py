@@ -19,7 +19,6 @@ from .codec import to_csv, to_json
 from .experiments import density_experiment, survey
 from .genset import (
     METHODS,
-    GenSetResult,
     InfeasibleCoverError,
     SearchPolicy,
     candidate_table,
@@ -106,11 +105,6 @@ def _emit(text: str, output: str | None) -> None:
         print(f"wrote {output}", file=sys.stderr)
 
 
-def genset_result_json(p: int, result: GenSetResult) -> str:
-    """The genset --format json document: p, then the fields of result."""
-    return to_json(result, p=p)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -149,7 +143,7 @@ def _cmd_genset(parser, args) -> int:
     )
     result = certify(candidate_table(field, policy), args.method, args.size_cap)
     if args.format == "json":
-        _emit(genset_result_json(args.p, result), args.output)
+        _emit(to_json(result, p=args.p), args.output)
         return 0
     g, order = result.certificate
     lines = [

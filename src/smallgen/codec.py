@@ -18,7 +18,6 @@ import dataclasses
 import io
 import itertools
 import json
-import types
 import typing
 from functools import cache
 
@@ -44,9 +43,6 @@ def _key(key_type):
 def _json_encoder(tp):
     """Function from a value of type tp to its JSON form; None when it is the value itself."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is types.UnionType:  # X | None
-        enc = _json_encoder(args[0])
-        return None if enc is None else (lambda v: None if v is None else enc(v))
     if _is_record(tp):
         plan = [(name, _json_encoder(t)) for name, t, _ in _fields(tp)]
         return lambda obj: {
@@ -65,9 +61,6 @@ def _json_encoder(tp):
 def _json_decoder(tp):
     """Function from the JSON form of a tp value back to the value; None for as-is."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is types.UnionType:  # X | None
-        dec = _json_decoder(args[0])
-        return None if dec is None else (lambda v: None if v is None else dec(v))
     if _is_record(tp):
         plan = [(name, _json_decoder(t)) for name, t, _ in _fields(tp)]
         return lambda obj: tp(*[obj[name] if dec is None else dec(obj[name]) for name, dec in plan])

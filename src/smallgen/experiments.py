@@ -31,19 +31,10 @@ from .genset import (
     greedy_block_generating_set,
 )
 from .modcore import FieldSpec, field_spec
-from .sievelab import _odd_blocks, p_minus_one_divisors, primes_upto
+from .sievelab import _one_mod_counts, p_minus_one_divisors, primes_upto
 
 # Meissel-Mertens constant: sum_{p<=T} 1/p = ln ln T + M + o(1).
 MEISSEL_MERTENS = 0.26149721284764278
-
-# density_experiment counts strides up to this by one slice per block.  A
-# larger stride reads too few flags per block to repay a call per block, and
-# with l >= ~150 every prime <= x is a q: slicing them all made
-# density_experiment(1e7, [150]) nine times slower.  The larger strides are
-# gathered together, _STRIDE_CHUNK at a time, so that no temporary grows with
-# pi(x): a chunk of strides above 4096 gathers under half a block of positions.
-_BLOCKED_STRIDE_MAX = 4096
-_STRIDE_CHUNK = 1 << 14
 
 # A survey task is at most this many primes, factored and scanned together.
 # With threads > 1 a task is smaller where the survey is too short to give
@@ -156,7 +147,7 @@ def survey(
     if p_max < p_min:
         return []
     primes = primes_upto(p_max)
-    primes = primes[primes >= p_min]
+    primes = primes[np.searchsorted(primes, p_min) :]
     if primes.size == 0:
         return []
     if sample is not None:
@@ -173,49 +164,23 @@ def survey(
 def density_experiment(x: int, l_values) -> list[DensityRow]:
     """Average over primes p <= x of #{prime q | p-1 : q <= (ln x) l**l}.
 
-    The count is taken per divisor prime q as the number of primes p <= x
-    with p = 1 mod q, read off the odd-number flags of the block sieve
-    _odd_blocks: 2 is 1 mod no q, every odd prime is 1 mod 2, and for odd q
-    an odd prime 2i + 1 is 1 mod q iff q divides i, so q's count is that of
-    the flags at stride q (stride 1 for q = 2).  Every stride is counted
-    block by block as the sieve streams, so no x-sized array is held: each
-    stride up to _BLOCKED_STRIDE_MAX by a slice, the larger ones by one
-    gather per chunk of _STRIDE_CHUNK strides.  The q's come from the same
-    stream: q's flag (index q // 2) comes before its first hit (index q).
-    Predictions are ln ln T + M and the finite harmonic sum over 1/(q-1),
-    reported side by side.
+    The count is taken per divisor prime q <= the largest threshold as the
+    number of primes p <= x with p = 1 mod q, by sievelab._one_mod_counts,
+    which reads them off one streamed sieve of [0, x] without holding an
+    x-sized array.  Predictions are ln ln T + M and the finite harmonic sum
+    over 1/(q-1), reported side by side.
     """
     if x < 3:
         raise ValueError(f"x must be >= 3, got {x}")
     thresholds = [(l, smallness_threshold(x - 1, l)) for l in map(float, l_values)]
     top = int(min(max((t for _, t in thresholds), default=0.0), x))  # thresholds are inf at large l
-    qs = [np.array([2] if top >= 2 else [], dtype=np.int64)]
-    small = [1] * qs[0].size  # the strides <= _BLOCKED_STRIDE_MAX, 1 for q = 2
-    tallies = [0] * len(small)
-    chunks = []  # (strides, tallies) of the larger strides, _STRIDE_CHUNK at most each
-    n_primes = 1  # and 2
-    for lo, block in _odd_blocks(x):
-        n_primes += int(np.count_nonzero(block))
-        new = 2 * (lo + np.flatnonzero(block[: max((top + 1) // 2 - lo, 0)])) + 1
-        qs.append(new)
-        cut = int(np.searchsorted(new, _BLOCKED_STRIDE_MAX, side="right"))
-        small += new[:cut].tolist()
-        tallies += [0] * cut
-        for c in range(cut, new.size, _STRIDE_CHUNK):
-            m = new[c : c + _STRIDE_CHUNK]
-            chunks.append((m, np.zeros(m.size, dtype=np.int64)))
-        for i, m in enumerate(small):
-            tallies[i] += np.count_nonzero(block[(-lo) % m :: m])
-        for m, t in chunks:
-            t += _stride_hits(block, lo, m)
-    qs = np.concatenate(qs)
-    # counts[k] = #{primes p <= x : p = 1 mod q} summed over the first k q's.
-    counts = np.cumsum(np.concatenate((np.array([0, *tallies], dtype=np.int64), *(t for _, t in chunks))))
+    qs = primes_upto(top)
+    n_primes, hits = _one_mod_counts(x, qs)
     rows = []
     for l, threshold in thresholds:
         k = int(np.searchsorted(qs, threshold, side="right"))
         degenerate = threshold < 2
-        empirical = int(counts[k]) / n_primes
+        empirical = int(hits[:k].sum()) / n_primes
         prediction = 0.0 if degenerate else math.log(math.log(threshold)) + MEISSEL_MERTENS
         harmonic = math.fsum(1.0 / (qs[:k] - 1))
         rows.append(
@@ -232,29 +197,6 @@ def density_experiment(x: int, l_values) -> list[DensityRow]:
             )
         )
     return rows
-
-
-def _stride_hits(block: np.ndarray, lo: int, strides: np.ndarray) -> np.ndarray:
-    """Per stride m, the number of set flags at the block indices i with
-    lo + i = 0 mod m: i = first, first + m, ... below the block's end.
-
-    One gather serves every stride: the positions run through the strides in
-    turn, as one cumulative sum of steps that jumps back to each stride's
-    first index, and each hit is charged to the stride whose run holds it.
-    Only the positions and their flags are block-sized; the rest is per
-    stride or per hit.
-    """
-    first = (-lo) % strides
-    count = (block.size - 1 - first) // strides + 1  # 0 when first is past the end
-    starts = np.cumsum(count) - count
-    hit = count > 0
-    last = first[hit] + (count[hit] - 1) * strides[hit]
-    pos = np.repeat(strides, count)
-    pos[starts[hit]] = first[hit] - np.concatenate(([0], last[:-1]))
-    hits = np.flatnonzero(block[np.cumsum(pos, out=pos)])
-    # A stride with no positions shares its start with the next one; side
-    # "right" charges the hit to the last of them, the one that has positions.
-    return np.bincount(np.searchsorted(starts, hits, side="right") - 1, minlength=strides.size)
 
 
 def quantile_report(rows, statistic: str, quantiles):

@@ -10,12 +10,13 @@ x * prod_{p not in P} (1 - 1/p) and the harmonic hypothesis sum are
 evaluated from the same split, a chunk at a time.
 Every sieve is one private generator, _odd_blocks, which keeps one flag per
 odd number, strikes them one _SEGMENT_SPAN block at a time and refuses limits
-over SIEVE_LIMIT; its base primes come from itself, run to sqrt(limit).
-prime_flags fills its array with it, and the split, psi_count and
-experiments.density_experiment stream its blocks without holding an x-sized
-array.  p_minus_one_divisors factors p - 1 for many primes at once, by one
-vectorized trial division over all of them; a survey calls it once per
-chunk of primes.
+over SIEVE_LIMIT; its base primes come from itself, run to sqrt(limit).  No
+other module reads its blocks.  primes_upto and the split stream them through
+one collector, psi_count strikes its own, and _one_mod_counts counts the
+primes p = 1 mod q for density_experiment, so none holds an x-sized flag
+array; only prime_flags copies them into one.  p_minus_one_divisors factors
+p - 1 for many primes at once, by one vectorized trial division over all of
+them; a survey calls it once per chunk of primes.
 """
 
 from __future__ import annotations
@@ -34,9 +35,16 @@ SIEVE_LIMIT = 10**8  # one flag per odd integer: about 50 MB at the cap
 # 1 MiB of odd flags per segment (2 MiB of integers) fits a core's L2 cache.
 # On a 2-vCPU Xeon VM with 2 MiB of L2 per core, prime_flags(1e8) took a
 # median 0.14-0.16 s with 1 MiB segments, 0.18-0.20 s with 512 KiB and
-# 0.16-0.21 s with 2 MiB.  It is also the block that density_experiment and
-# psi_count read while the sieve streams, so it bounds their working memory.
+# 0.16-0.21 s with 2 MiB.  It is also the one block that every reader of the
+# streaming sieve holds, so it bounds their working memory.
 _SEGMENT_SPAN = 1 << 20
+
+# _one_mod_counts slices each block once per stride up to this; slicing every
+# q of density_experiment(1e7, [150]) made it nine times slower.  Larger
+# strides are gathered _STRIDE_CHUNK at a time, so no temporary grows with
+# pi(x): a chunk of strides above 4096 gathers under half a block of positions.
+_BLOCKED_STRIDE_MAX = 4096
+_STRIDE_CHUNK = 1 << 14
 
 
 class ResourceLimitError(RuntimeError):
@@ -55,7 +63,7 @@ def _odd_count(limit: int) -> int:
     return (limit + 1) // 2
 
 
-def _odd_blocks(limit: int, outside=None, out=None):
+def _odd_blocks(limit: int, outside=None):
     """Sieve the odd n <= limit one _SEGMENT_SPAN block of flags at a time
     (index i <-> n = 2i + 1) and yield (lo, block), lo the block's first index.
 
@@ -63,8 +71,7 @@ def _odd_blocks(limit: int, outside=None, out=None):
     strikes its odd multiples from p * p, so p keeps its flag, and 1 is struck.
     Otherwise outside lists primes <= sqrt(limit), ascending; each odd one
     strikes from p itself and 1 is kept, so a kept n has no such prime
-    factor.  The blocks are views of out, an array of (limit + 1) // 2 flags,
-    when it is given, else of one reused block; either way a block is valid
+    factor.  The blocks are views of one reused array, so a block is valid
     until the next is asked for.  The limit is checked here, before any
     allocation and before the first block is asked for.
     """
@@ -77,11 +84,11 @@ def _odd_blocks(limit: int, outside=None, out=None):
     else:
         strikers = [p for p in outside.tolist() if p != 2]
         firsts = [p // 2 for p in strikers]
-    buf = np.empty(min(n, _SEGMENT_SPAN), dtype=bool) if out is None else None
+    buf = np.empty(min(n, _SEGMENT_SPAN), dtype=bool)
 
     def blocks():
         for lo in range(0, n, _SEGMENT_SPAN):
-            block = buf[: n - lo] if out is None else out[lo : lo + _SEGMENT_SPAN]
+            block = buf[: n - lo]
             block[:] = True
             if lo == 0 and outside is None:
                 block[0] = False
@@ -98,19 +105,40 @@ def _odd_blocks(limit: int, outside=None, out=None):
 
 def prime_flags(limit: int) -> np.ndarray:
     """Boolean array f of (limit + 1) // 2 odd-number flags: f[i] iff 2i + 1 is
-    prime.  Filled in place by the block sieve _odd_blocks; 2 has no flag.
+    prime.  Copied block by block from the sieve _odd_blocks; 2 has no flag.
 
     Raises ResourceLimitError, before allocating, when limit > SIEVE_LIMIT.
     """
     flags = np.empty(_odd_count(limit), dtype=bool)
-    for _ in _odd_blocks(limit, out=flags):
-        pass
+    for lo, block in _odd_blocks(limit):
+        flags[lo : lo + block.size] = block
     return flags
 
 
 def primes_upto(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending."""
-    return _flagged_primes(0, prime_flags(limit), limit)
+    """All primes <= limit, ascending, as int64; no flag array of limit's size is held."""
+    return _collect(limit)[0]
+
+
+def _collect(limit: int, inside=None) -> tuple[np.ndarray, np.ndarray]:
+    """The primes <= limit as two ascending int64 arrays, those that inside
+    (primes -> boolean mask) keeps and the rest; with inside None, all and none.
+    Each block's primes go straight to their side as the sieve streams."""
+    blocks = _odd_blocks(limit)
+    # Each side is allocated for every prime <= limit; the pages never written
+    # are never touched, and resize() gives them back.
+    parts = tuple(np.empty(_prime_count_bound(limit), dtype=np.int64) for _ in range(2))
+    sizes = [0, 0]
+    for lo, block in blocks:
+        primes = _flagged_primes(lo, block, limit)
+        mask = None if inside is None else inside(primes)
+        sides = (primes,) if mask is None else (primes[mask], primes[~mask])
+        for side, arr in enumerate(sides):
+            parts[side][sizes[side] : sizes[side] + arr.size] = arr
+            sizes[side] += arr.size
+    for arr, size in zip(parts, sizes):
+        arr.resize(size, refcheck=False)
+    return parts
 
 
 def _flagged_primes(lo: int, flags: np.ndarray, limit: int) -> np.ndarray:
@@ -219,20 +247,8 @@ class PrimeSetSpec:
 # psi_count and complement_product of one check share it.
 @lru_cache(maxsize=1)
 def _split(spec: PrimeSetSpec) -> tuple[np.ndarray, np.ndarray]:
-    blocks = _odd_blocks(spec.x)  # checks x before anything is allocated
-    inside = _membership(spec)
-    # Each side is allocated for every prime <= x; the pages never written
-    # are never touched, and resize() gives them back.
-    parts = tuple(np.empty(_prime_count_bound(spec.x), dtype=np.int64) for _ in range(2))
-    sizes = [0, 0]
-    for lo, block in blocks:
-        primes = _flagged_primes(lo, block, spec.x)
-        mask = inside(primes)
-        for side, arr in enumerate((primes[mask], primes[~mask])):
-            parts[side][sizes[side] : sizes[side] + arr.size] = arr
-            sizes[side] += arr.size
-    for arr, size in zip(parts, sizes):
-        arr.resize(size, refcheck=False)
+    parts = _collect(spec.x, _membership(spec))
+    for arr in parts:
         arr.flags.writeable = False
     return parts
 
@@ -297,6 +313,57 @@ def psi_count(spec: PrimeSetSpec) -> int:
     k = np.concatenate([k << a for a in range(root.bit_length() if evens else 1)])
     struck = np.searchsorted(outside[split:], x // k[k <= root], side="right").sum()
     return int(odd + even - struck)
+
+
+def _one_mod_counts(x: int, qs: np.ndarray) -> tuple[int, np.ndarray]:
+    """pi(x), and per prime q of qs (ascending) the number of primes p <= x
+    with p = 1 mod q, read off the prime sieve's blocks as they stream.
+
+    Every odd prime is 1 mod 2, and for odd q an odd prime 2i + 1 is 1 mod q
+    iff q divides i: q's count is that of the flags at stride q, whose first
+    hit is at index q, as the flag of 1 is never set.  Each block slices the
+    strides up to _BLOCKED_STRIDE_MAX and gathers the larger ones below its end.
+    """
+    k = int(qs.size > 0 and qs[0] == 2)  # q = 2 is counted apart
+    hits = np.zeros(qs.size, dtype=np.int64)
+    odd, odd_hits = qs[k:], hits[k:]
+    small = odd[: int(np.searchsorted(odd, _BLOCKED_STRIDE_MAX, side="right"))].tolist()
+    tallies = [0] * len(small)
+    count = 1  # 2
+    for lo, block in _odd_blocks(x):
+        count += int(np.count_nonzero(block))
+        for i, m in enumerate(small):
+            tallies[i] += np.count_nonzero(block[(-lo) % m :: m])
+        end = int(np.searchsorted(odd, lo + block.size))
+        for c in range(len(small), end, _STRIDE_CHUNK):
+            d = min(c + _STRIDE_CHUNK, end)
+            odd_hits[c:d] += _stride_hits(block, lo, odd[c:d])
+    odd_hits[: len(small)] = tallies
+    hits[:k] = count - 1
+    return count, hits
+
+
+def _stride_hits(block: np.ndarray, lo: int, strides: np.ndarray) -> np.ndarray:
+    """Per stride m, the number of set flags at the block indices i with
+    lo + i = 0 mod m: i = first, first + m, ... below the block's end.
+
+    One gather serves every stride: the positions run through the strides in
+    turn, as one cumulative sum of steps that jumps back to each stride's
+    first index, and each hit is charged to the stride whose run holds it.
+    Only the positions and their flags are block-sized; the rest is per
+    stride or per hit.
+    """
+    first = (-lo) % strides
+    count = (block.size - 1 - first) // strides + 1  # 0 when first is past the end
+    starts = np.cumsum(count) - count
+    hit = count > 0
+    last = first[hit] + (count[hit] - 1) * strides[hit]
+    pos = np.repeat(strides, count)
+    pos[starts[hit]] = first[hit] - np.concatenate(([0], last[:-1]))
+    hits = np.flatnonzero(block[np.cumsum(pos, out=pos)])
+    # A stride with no positions shares its start with the next one; side
+    # "right" charges the hit to the last of them, the one that has positions.
+    return np.bincount(np.searchsorted(starts, hits, side="right") - 1, minlength=strides.size)
 
 
 def mertens_sum(spec: PrimeSetSpec, lo: float, hi: float) -> float:
@@ -411,16 +478,18 @@ class SieveReport:
 
 def sieve_bound_check(spec: PrimeSetSpec, u: float, v: float, epsilon: float) -> SieveReport:
     """Check the harmonic hypothesis sum >= (1+eps)/u and report Psi against
-    the sieve prediction; v outside ln(x)/(1000 ln ln x) is flagged, not refused."""
+    the sieve prediction; v outside ln(x)/(1000 ln ln x) is flagged, not refused.
+
+    Raises ValueError, before any sieve, for u < 1, u > v or an epsilon that
+    is not finite and > 0; x past SIEVE_LIMIT is refused by the sieve itself
+    before it allocates anything."""
     if u < 1:
         raise ValueError(f"u must be >= 1, got {u}")
     if u > v:
         raise ValueError(f"need u <= v, got u={u} v={v}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     x = spec.x
-    if x > SIEVE_LIMIT:
-        # realize() would have _odd_blocks refuse x as well; refusing here
-        # first starts no sieve at all.
-        raise ResourceLimitError(f"sieve_bound_check sieves to x; capped at x={SIEVE_LIMIT:.0e}")
     lo = x ** (1.0 / v)
     hi = x ** (1.0 / u)
     hyp = mertens_sum(spec, lo, hi)

@@ -322,7 +322,7 @@ def test_density_blocks_only_small_strides(monkeypatch):
     # q (1 for q = 2) and a block spans 2 * _SEGMENT_SPAN integers.
     x = 7 * sievelab._SEGMENT_SPAN + 12345
     primes = primes_upto(x)
-    blocked = int(np.count_nonzero(np.where(primes == 2, 1, primes) <= experiments._BLOCKED_STRIDE_MAX))
+    blocked = int(np.count_nonzero(np.where(primes == 2, 1, primes) <= sievelab._BLOCKED_STRIDE_MAX))
     blocks = -(-((x + 1) // 2) // sievelab._SEGMENT_SPAN)
     calls = Counter()
     count_nonzero = np.count_nonzero

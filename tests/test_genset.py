@@ -20,7 +20,7 @@ from smallgen.genset import (
     generates,
     greedy_block_generating_set,
 )
-from smallgen.cli import genset_result_json
+from smallgen.codec import to_json
 from smallgen.experiments import survey_row
 from smallgen.modcore import FieldSpec, field_spec, is_prime, multiplicative_order, residue_signature
 from smallgen.sievelab import p_minus_one_divisors, primes_upto
@@ -375,9 +375,9 @@ def test_coverage_map_is_consistent(p):
             assert residue_signature(n, f) >> i & 1
 
 
-# sha256 of cli.genset_result_json(p, result) per method.  Coverage maps and
-# certificates never reach the survey CSV, so these pins are what guards their
-# bytes across versions.
+# sha256 of to_json(result, p=p), the genset --format json document, per
+# method.  Coverage maps and certificates never reach the survey CSV, so these
+# pins are what guards their bytes across versions.
 GENSET_JSON_SHA256 = {
     7: {
         "elementary": "ea8ed833f8b136a7f9b16f085124b367f92f91bba9b55b5fb8d47d9d40c7a5bd",
@@ -411,7 +411,7 @@ def test_genset_json_pinned():
     for p, pins in GENSET_JSON_SHA256.items():
         table = candidate_table(field_spec(p))
         for method, pin in pins.items():
-            text = genset_result_json(p, certify(table, method))
+            text = to_json(certify(table, method), p=p)
             assert hashlib.sha256(text.encode()).hexdigest() == pin, (p, method)
 
 
@@ -444,8 +444,8 @@ def test_early_exit_matches_full_scan():
             full = CandidateTable(f, table.radius, table.initial, masks)
             stopped_early += len(table.masks) < len(masks)
             for name, construct in constructions.items():
-                want = genset_result_json(f.p, construct(full))
-                assert genset_result_json(f.p, construct(table)) == want, (f.p, policy, name)
+                want = to_json(construct(full), p=f.p)
+                assert to_json(construct(table), p=f.p) == want, (f.p, policy, name)
     assert stopped_early > 0
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from smallgen import experiments, sievelab
 from smallgen.cli import run
-from smallgen.experiments import density_experiment
+from smallgen.experiments import density_experiment, survey
 from smallgen.modcore import factorize, field_spec, is_prime
 from smallgen.sievelab import (
     PrimeSetSpec,
@@ -275,10 +275,11 @@ def capped_numpy(limit):
     return CappedNumpy()
 
 
-def test_every_sieve_refuses_past_the_cap(monkeypatch):
+def test_every_sieve_refuses_past_the_cap(monkeypatch, capsys):
     # Each call below once asked prime_flags for 10**12 flags. With numpy's
     # allocators guarded, an uncapped sieve fails here instead of exhausting
-    # memory.
+    # memory.  The check must refuse before realize() sieves to x**(1/u):
+    # 1e12 for x = 1e12, u = 1, and 1e9 for x = 1e18, u = 2.
     monkeypatch.setattr(sievelab, "np", capped_numpy(10**8 + 1))
     x = 10**12
     for call in (
@@ -288,9 +289,14 @@ def test_every_sieve_refuses_past_the_cap(monkeypatch):
         lambda: PrimeSetSpec.residue(x, field_spec(7), 0).realize(),
         lambda: PrimeSetSpec.threshold(x, 2).realize(),
         lambda: PrimeSetSpec.explicit(x, [2]).realize(),
+        lambda: sieve_bound_check(PrimeSetSpec.threshold(x, 1.0), 1.0, 2.0, 0.1),
+        lambda: sieve_bound_check(PrimeSetSpec.threshold(10**18, 2.0), 2.0, 10.0, 0.1),
     ):
         with pytest.raises(ResourceLimitError):
             call()
+    for x, u, v in ((10**12, 1.0, 2.0), (10**18, 2.0, 10.0)):
+        assert run(["sieve", "check", "--x", str(x), "--u", str(u), "--v", str(v)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_streamed_sieves_hold_no_flag_per_odd_number(monkeypatch):
@@ -317,6 +323,21 @@ def test_streamed_sieves_hold_no_flag_per_odd_number(monkeypatch):
             psi_count(spec)
             mertens_sum(spec, 1, x)
             complement_product(spec)
+
+
+def test_primes_upto_and_survey_hold_no_flag_per_odd_number(monkeypatch):
+    # primes_upto streams the sieve's blocks into its int64 primes, so
+    # neither it nor a sampled survey, which lists every prime up to p_max,
+    # allocates an array of (x + 1) // 2 elements or more.
+    x = 7 * sievelab._SEGMENT_SPAN + 12345
+    flags = prime_flags(x)
+    capped = capped_numpy((x + 1) // 2 - 1)
+    monkeypatch.setattr(sievelab, "np", capped)
+    monkeypatch.setattr(experiments, "np", capped)
+    primes = primes_upto(x)
+    rows = survey(3, x, sample=40)
+    assert primes[0] == 2 and np.array_equal(primes[1:], 2 * np.flatnonzero(flags) + 1)
+    assert [r.p for r in rows] == primes[1 :: -(-(primes.size - 1) // 40)].tolist()
 
 
 @given(st.data())
@@ -530,25 +551,9 @@ def test_sieve_bound_check_validation():
         sieve_bound_check(spec, 3.0, 2.0, 0.1)
     with pytest.raises(ValueError):
         sieve_bound_check(spec, 0.5, 2.0, 0.1)
-
-
-def test_sieve_bound_check_caps_before_sieving(monkeypatch, capsys):
-    # Past SIEVE_LIMIT the check must refuse before realize() sieves to x**(1/u):
-    # 1e12 for x = 1e12, u = 1, and 1e9 for x = 1e18, u = 2.
-    sieved = []
-
-    def no_sieve(limit):
-        sieved.append(limit)
-        raise AssertionError(f"primes_upto({limit}) called past the cap")
-
-    monkeypatch.setattr(sievelab, "primes_upto", no_sieve)
-    monkeypatch.setattr(sievelab, "_odd_blocks", lambda limit, *args: no_sieve(limit))
-    for x, u, v in ((10**12, 1.0, 2.0), (10**18, 2.0, 10.0)):
-        with pytest.raises(ResourceLimitError):
-            sieve_bound_check(PrimeSetSpec.threshold(x, u), u, v, 0.1)
-        assert run(["sieve", "check", "--x", str(x), "--u", str(u), "--v", str(v)]) == 1
-    assert sieved == []
-    assert capsys.readouterr().err.startswith("error:")
+    for epsilon in (math.nan, math.inf, 0.0, -5.0):
+        with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
+            sieve_bound_check(spec, 2.0, 4.0, epsilon)
 
 
 def test_sieve_bound_check_sieves_once(monkeypatch):
@@ -558,10 +563,10 @@ def test_sieve_bound_check_sieves_once(monkeypatch):
     limits = []
     odd_blocks = sievelab._odd_blocks
 
-    def spy(limit, outside=None, out=None):
+    def spy(limit, outside=None):
         if outside is None:
             limits.append(limit)
-        return odd_blocks(limit, outside, out)
+        return odd_blocks(limit, outside)
 
     monkeypatch.setattr(sievelab, "_odd_blocks", spy)
     specs = [
