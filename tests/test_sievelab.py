@@ -275,11 +275,10 @@ def capped_numpy(limit):
     return CappedNumpy()
 
 
-def test_every_sieve_refuses_past_the_cap(monkeypatch, capsys):
+def test_every_sieve_refuses_past_the_cap(monkeypatch):
     # Each call below once asked prime_flags for 10**12 flags. With numpy's
     # allocators guarded, an uncapped sieve fails here instead of exhausting
-    # memory.  The check must refuse before realize() sieves to x**(1/u):
-    # 1e12 for x = 1e12, u = 1, and 1e9 for x = 1e18, u = 2.
+    # memory.
     monkeypatch.setattr(sievelab, "np", capped_numpy(10**8 + 1))
     x = 10**12
     for call in (
@@ -289,14 +288,9 @@ def test_every_sieve_refuses_past_the_cap(monkeypatch, capsys):
         lambda: PrimeSetSpec.residue(x, field_spec(7), 0).realize(),
         lambda: PrimeSetSpec.threshold(x, 2).realize(),
         lambda: PrimeSetSpec.explicit(x, [2]).realize(),
-        lambda: sieve_bound_check(PrimeSetSpec.threshold(x, 1.0), 1.0, 2.0, 0.1),
-        lambda: sieve_bound_check(PrimeSetSpec.threshold(10**18, 2.0), 2.0, 10.0, 0.1),
     ):
         with pytest.raises(ResourceLimitError):
             call()
-    for x, u, v in ((10**12, 1.0, 2.0), (10**18, 2.0, 10.0)):
-        assert run(["sieve", "check", "--x", str(x), "--u", str(u), "--v", str(v)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_streamed_sieves_hold_no_flag_per_odd_number(monkeypatch):
@@ -554,6 +548,28 @@ def test_sieve_bound_check_validation():
     for epsilon in (math.nan, math.inf, 0.0, -5.0):
         with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
             sieve_bound_check(spec, 2.0, 4.0, epsilon)
+
+
+def test_sieve_bound_check_caps_before_sieving(monkeypatch, capsys):
+    # Past SIEVE_LIMIT the check must refuse before anything sieves to x or
+    # x**(1/u): 1e12 for x = 1e12, u = 1, and 1e9 for x = 1e18, u = 2.  The
+    # refusal is _odd_blocks' own, so the spy records a limit only if the
+    # sieve accepted it.
+    sieved = []
+    odd_blocks = sievelab._odd_blocks
+
+    def spy(limit, *args, **kwargs):
+        blocks = odd_blocks(limit, *args, **kwargs)
+        sieved.append(limit)
+        return blocks
+
+    monkeypatch.setattr(sievelab, "_odd_blocks", spy)
+    for x, u, v in ((10**12, 1.0, 2.0), (10**18, 2.0, 10.0)):
+        with pytest.raises(ResourceLimitError):
+            sieve_bound_check(PrimeSetSpec.threshold(x, u), u, v, 0.1)
+        assert run(["sieve", "check", "--x", str(x), "--u", str(u), "--v", str(v)]) == 1
+    assert sieved == []
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_sieve_bound_check_sieves_once(monkeypatch):
