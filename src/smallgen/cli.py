@@ -209,7 +209,7 @@ def _cmd_density(parser, args) -> int:
 def _cmd_sieve(parser, args) -> int:
     spec = _parse_pset(parser, args)
     if args.action == "psi":
-        if spec.kind != "threshold" and args.u is not None and args.u < 1:
+        if spec.kind != "threshold" and args.u is not None and not args.u >= 1:
             parser.error(f"--u must be >= 1, got {args.u}")  # no library call sees u here
         value = psi_count(spec)
         if args.format == "json":

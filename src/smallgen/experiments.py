@@ -4,9 +4,10 @@ Rows are pure functions of their prime, so surveys may fan out over a process
 pool; results are always merged in ascending-p order and serialized with fixed
 formatting, making output bytes independent of the parallelism degree.  A
 survey task is one chunk of at most _SCAN_CHUNK primes, handled end to end:
-one batch pass factors its p - 1, the int64 modpow kernel scans its candidate
-tables together, and each row is built from its table.  survey_row, certify
-and the CLI's genset scan one field with candidate_table, the scalar oracle.
+one batch pass factors its p - 1, _candidate_tables scans its candidate tables
+together with the int64 modpow kernel, and each row is built from its table.
+survey_row, certify and the CLI's genset scan one field with candidate_table,
+the Python-pow oracle; both run genset's one scan loop and its stop rule.
 """
 
 from __future__ import annotations
@@ -130,6 +131,7 @@ def survey(
     Sieves [0, p_max], so p_max over the sieve cap raises ResourceLimitError.
     The selected primes are cut once into tasks of _SCAN_CHUNK primes, or
     with threads > 1 fewer where that gives each worker about eight tasks.
+    With threads > 1 the pool starts no more workers than there are tasks.
     Each task, in a pool worker when threads > 1, factors its p - 1 in one
     batch pass by the primes up to sqrt(its max p - 1), p_minus_one_divisors,
     so no row factorizes and each FieldSpec still checks its divisors; then
@@ -156,7 +158,7 @@ def survey(
     chunks = [primes[lo : lo + size] for lo in range(0, primes.size, size)]
     worker = partial(_chunk_rows, l_values=l_values, policy=policy)
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
             return [row for rows in pool.map(worker, chunks) for row in rows]
     return [row for rows in map(worker, chunks) for row in rows]
 

@@ -4,7 +4,9 @@ A subset of the cyclic group F_p* generates iff for every prime q | p-1 some
 element is a q-th power non-residue (every maximal subgroup is the set of
 q-th powers for some q).  Generation therefore reduces to covering the
 divisor indices of p-1 with non-residue masks, and minimization is an exact
-set-cover problem over the masks realized below a search radius.
+set-cover problem over the masks realized below a search radius.  One loop,
+_scan, builds every table of masks; candidate_table and _candidate_tables
+differ only in the mask kernel they pass it (Python pow, int64 modpow).
 """
 
 from __future__ import annotations
@@ -118,61 +120,67 @@ class CandidateTable:
     masks: dict[int, int]
 
 
+def _scan(fields, policy: SearchPolicy, masks) -> list[CandidateTable]:
+    """The candidate tables of the fields, scanned together from n = 2 upward.
+
+    masks(n, live) gives candidate n's mask for each field index in live,
+    indexed by field index.  A field stops at its first full mask, or at the
+    end of a radius step, min(radius, p - 1), with every divisor index
+    covered; else its radius doubles, up to the policy's cap.  The first
+    field in order that stops uncovered raises InfeasibleCoverError at the
+    radius it reached.
+    """
+    initial = [policy.initial_radius(f.p) for f in fields]
+    cap = [policy.cap(f.p) for f in fields]
+    radius = [min(i, c) for i, c in zip(initial, cap)]
+    limit = [min(x, f.p - 1) for x, f in zip(radius, fields)]  # n = 1 and n = p never contribute
+    full = [(1 << f.r) - 1 for f in fields]
+    union = [0] * len(fields)
+    tables = [{} for _ in fields]
+    live = list(range(len(fields)))
+    n = 2
+    while live:
+        mask_of = masks(n, live)
+        stay = []
+        for j in live:
+            mask = tables[j][n] = mask_of[j]
+            union[j] |= mask
+            if mask != full[j] and n < limit[j]:
+                stay.append(j)
+            elif union[j] != full[j] and policy.expand_on_failure and radius[j] < cap[j]:
+                radius[j] = min(2 * radius[j], cap[j])
+                limit[j] = min(radius[j], fields[j].p - 1)
+                stay.append(j)
+        live = stay
+        n += 1
+    for j, f in enumerate(fields):
+        if union[j] != full[j]:
+            uncovered = tuple(q for i, (q, _) in enumerate(f.divisors) if not union[j] >> i & 1)
+            raise InfeasibleCoverError(f.p, radius[j], uncovered)
+    return [CandidateTable(f, radius[j], initial[j], tables[j]) for j, f in enumerate(fields)]
+
+
 def candidate_table(field: FieldSpec, policy: SearchPolicy = SearchPolicy()) -> CandidateTable:
     """Scan candidates from 2 upward, doubling the radius until every divisor
     index has a coverer, or raise InfeasibleCoverError when the cap bites.
 
-    n = 1 and n = p never contribute, so the scan stops at p - 1.  It also
-    stops at the first full mask: the union is then full, so the current
-    step is the last one and radius is the same as for a scan to its end.
+    Each mask is taken by Python pow, exact for every p, so this one-field
+    scan is the oracle that _candidate_tables is tested against.
     """
     p = field.p
-    full = (1 << field.r) - 1
     divs = [(1 << i, (p - 1) // q) for i, (q, _) in enumerate(field.divisors)]
-    initial = policy.initial_radius(p)
-    cap = policy.cap(p)
-    masks: dict[int, int] = {}
-    union = 0
-    lo, radius = 2, min(initial, cap)
-    while True:
-        for n in range(lo, min(radius, p - 1) + 1):
-            mask = 0
-            for bit, exp in divs:
-                if pow(n, exp, p) != 1:
-                    mask |= bit
-            masks[n] = mask
-            union |= mask
-            if mask == full:
-                break
-        if union == full:
-            return CandidateTable(field=field, radius=radius, initial=initial, masks=masks)
-        if radius >= cap or not policy.expand_on_failure:
-            uncovered = tuple(
-                q for i, (q, _) in enumerate(field.divisors) if not union >> i & 1
-            )
-            raise InfeasibleCoverError(p, radius, uncovered)
-        lo, radius = radius + 1, min(2 * radius, cap)
+    return _scan([field], policy, lambda n, live: [sum(bit for bit, exp in divs if pow(n, exp, p) != 1)])[0]
 
 
 def _candidate_tables(fields, policy: SearchPolicy = SearchPolicy()) -> list[CandidateTable]:
     """[candidate_table(f, policy) for f in fields], with the fields scanned together.
 
-    Each candidate n is scanned for every live field at once: one _pow_mod
-    call per prime n tests every live (field, q) pair (a composite n = a * b
-    multiplies a's and b's powers), and one bincount over the field ids gives
-    each field's mask.  Each field keeps candidate_table's stops: its first
-    full mask, or the end of a radius step with every divisor index covered;
-    else its radius doubles.  A field that would raise InfeasibleCoverError
-    is left to candidate_table, in field order.  Every p must be at most
-    _POW_MOD_MAX, as every survey prime is, else _pow_mod raises ValueError.
+    The masks come from the int64 kernel: one _pow_mod call per prime n
+    tests every live (field, q) pair (a composite n = a * b multiplies a's
+    and b's powers), and one bincount over the field ids gives each field's
+    mask.  Every p must be at most _POW_MOD_MAX, as every survey prime is,
+    else _pow_mod raises ValueError.
     """
-    initial = [policy.initial_radius(f.p) for f in fields]
-    cap = [policy.cap(f.p) for f in fields]
-    radius = [min(i, c) for i, c in zip(initial, cap)]
-    limit = [min(x, f.p - 1) for x, f in zip(radius, fields)]  # n = p never contributes
-    full = [(1 << f.r) - 1 for f in fields]
-    union = [0] * len(fields)
-    masks = [{} for _ in fields]
     # The (field, q) pairs of the live fields: the field's id, p, (p - 1) / q,
     # q's mask bit and the pair's index among all pairs.
     r = [f.r for f in fields]
@@ -182,10 +190,15 @@ def _candidate_tables(fields, policy: SearchPolicy = SearchPolicy()) -> list[Can
     bit = 1 << np.array([i for f in fields for i in range(f.r)], dtype=np.int64)
     pair = np.arange(owner.size)
     n_pairs = owner.size
+    n_live = len(fields)
     powers = {}  # n -> n**((p - 1) / q) % p of each pair live at n, by pair index
-    live = list(range(len(fields)))
-    n = 2
-    while live:
+
+    def masks(n, live):
+        nonlocal owner, mod, exp, bit, pair, n_live
+        if len(live) < n_live:  # fields dropped out: compact their pairs away
+            keep = np.isin(owner, live, kind="table")  # a sort would unique live and import numpy.ma
+            owner, mod, exp, bit, pair = owner[keep], mod[keep], exp[keep], bit[keep], pair[keep]
+            n_live = len(live)
         a = next((a for a in range(2, math.isqrt(n) + 1) if n % a == 0), None)
         if a is None:  # n is prime
             value = _pow_mod(n, exp, mod)
@@ -194,27 +207,9 @@ def _candidate_tables(fields, policy: SearchPolicy = SearchPolicy()) -> list[Can
         powers[n] = np.empty(n_pairs, dtype=np.int64)
         powers[n][pair] = value
         nonres = value != 1
-        mask_of = np.bincount(owner[nonres], weights=bit[nonres], minlength=len(fields)).astype(np.int64).tolist()
-        stay = []
-        for j in live:
-            mask = masks[j][n] = mask_of[j]
-            union[j] |= mask
-            if mask != full[j] and n < limit[j]:
-                stay.append(j)
-            elif union[j] != full[j] and policy.expand_on_failure and radius[j] < cap[j]:
-                radius[j] = min(2 * radius[j], cap[j])
-                limit[j] = min(radius[j], fields[j].p - 1)
-                stay.append(j)
-        if 0 < len(stay) < len(live):  # an empty stay ends the scan
-            keep = np.isin(owner, stay, kind="table")  # a sort would unique stay and import numpy.ma
-            owner, mod, exp, bit, pair = owner[keep], mod[keep], exp[keep], bit[keep], pair[keep]
-        live = stay
-        n += 1
-    # A field whose union is not full stopped uncovered: candidate_table raises for it.
-    return [
-        CandidateTable(f, radius[j], initial[j], masks[j]) if union[j] == full[j] else candidate_table(f, policy)
-        for j, f in enumerate(fields)
-    ]
+        return np.bincount(owner[nonres], weights=bit[nonres], minlength=len(fields)).astype(np.int64).tolist()
+
+    return _scan(fields, policy, masks)
 
 
 def _combine(coverage: dict[int, int], field: FieldSpec) -> int:

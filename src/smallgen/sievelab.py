@@ -216,7 +216,7 @@ class PrimeSetSpec:
 
     @classmethod
     def threshold(cls, x: int, u: float) -> "PrimeSetSpec":
-        if u < 1:
+        if not u >= 1:  # nan fails it too
             raise ValueError(f"u must be >= 1, got {u}")
         return cls(x=x, kind="threshold", u=float(u))
 
@@ -480,13 +480,13 @@ def sieve_bound_check(spec: PrimeSetSpec, u: float, v: float, epsilon: float) ->
     """Check the harmonic hypothesis sum >= (1+eps)/u and report Psi against
     the sieve prediction; v outside ln(x)/(1000 ln ln x) is flagged, not refused.
 
-    Raises ValueError, before any sieve, for u < 1, u > v or an epsilon that
-    is not finite and > 0; x past SIEVE_LIMIT is refused by the sieve itself
-    before it allocates anything."""
-    if u < 1:
+    Raises ValueError, before any sieve, unless u >= 1, u <= v < inf and
+    0 < epsilon < inf (so nan fails each); x past SIEVE_LIMIT is refused by
+    the sieve itself before it allocates anything."""
+    if not u >= 1:
         raise ValueError(f"u must be >= 1, got {u}")
-    if u > v:
-        raise ValueError(f"need u <= v, got u={u} v={v}")
+    if not u <= v < math.inf:
+        raise ValueError(f"v must be finite and >= u, got u={u} v={v}")
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     x = spec.x

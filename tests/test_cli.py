@@ -54,6 +54,12 @@ def test_exit_codes(capsys):
         ("sieve psi --x 100 --u 0.5", "u must be >= 1, got 0.5"),
         ("sieve psi --x 30 --pset explicit:2,3 --u 0.5", "--u must be >= 1, got 0.5"),
         ("sieve check --x 100 --u 3 --v 2", "got u=3.0 v=2.0"),
+        ("sieve check --x 1000 --u 2 --v nan", "v must be finite and >= u, got u=2.0 v=nan"),
+        ("sieve check --x 1000 --u 2 --v inf", "v must be finite and >= u, got u=2.0 v=inf"),
+        ("sieve check --x 1000 --u nan --v 10", "u must be >= 1, got nan"),
+        ("sieve check --x 1000 --pset explicit:2,3 --u nan --v 10", "u must be >= 1, got nan"),
+        ("sieve psi --x 1000 --u nan", "u must be >= 1, got nan"),
+        ("sieve psi --x 30 --pset explicit:2,3 --u nan", "--u must be >= 1, got nan"),
         ("sieve check --x 1000 --u 2 --v 10 --epsilon nan", "epsilon must be finite and > 0, got nan"),
         ("sieve check --x 1000 --u 2 --v 10 --epsilon inf", "epsilon must be finite and > 0, got inf"),
         ("sieve check --x 1000 --u 2 --v 10 --epsilon 0", "epsilon must be finite and > 0, got 0.0"),

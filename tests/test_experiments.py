@@ -98,6 +98,30 @@ def test_survey_threads_deterministic(rows_50):
         assert survey_csv(rows_mt) == survey_csv(rows)
 
 
+def test_survey_starts_no_more_workers_than_tasks(monkeypatch, rows_50):
+    # A fake pool records max_workers and maps serially, so no process
+    # starts: 10**5 threads over 3..50 cut 14 primes into 14 one-prime tasks.
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    assert survey(3, 50, threads=10**5) == rows_50
+    assert survey(3, 10_000, threads=2) == survey(3, 10_000)
+    assert started == [len(rows_50), 2]
+
+
 def test_survey_row_matches_batch(rows_50):
     assert survey_row(7, (2.0, 3.0)) == rows_50[2]
     # Every row of a survey is the oracle's row: 1228 primes in two tasks,

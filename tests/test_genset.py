@@ -20,6 +20,7 @@ from smallgen.genset import (
     generates,
     greedy_block_generating_set,
 )
+from smallgen import genset
 from smallgen.codec import to_json
 from smallgen.experiments import survey_row
 from smallgen.modcore import FieldSpec, field_spec, is_prime, multiplicative_order, residue_signature
@@ -120,23 +121,28 @@ def test_candidate_table_matches_pow_scan(p, hard_cap, expand):
         if union == full or radius >= policy.cap(p) or not expand:
             break
         radius = min(2 * radius, policy.cap(p))
+    # The pow scan and the int64 batch kernel share one stop rule; both are
+    # checked against this walk.
+    scans = (lambda: candidate_table(f, policy), lambda: _candidate_tables([f], policy)[0])
     if union != full:
-        with pytest.raises(InfeasibleCoverError) as err:
-            candidate_table(f, policy)
-        assert err.value.radius == radius
-        assert err.value.uncovered == tuple(q for i, (q, _) in enumerate(f.divisors) if not union >> i & 1)
+        for scan in scans:
+            with pytest.raises(InfeasibleCoverError) as err:
+                scan()
+            assert err.value.radius == radius
+            assert err.value.uncovered == tuple(q for i, (q, _) in enumerate(f.divisors) if not union >> i & 1)
         with pytest.raises(InfeasibleCoverError):
             survey_row(p, policy=policy)
         return
     # The table stops at the first primitive root, if the scan meets one.
     top = min(radius, p - 1)
     stop = next((n for n in range(2, top + 1) if residue_signature(n, f) == full), top)
-    table = candidate_table(f, policy)
-    assert table.radius == radius
-    assert table.initial == policy.initial_radius(p)
-    assert list(table.masks) == list(range(2, stop + 1))
-    for n, mask in table.masks.items():
-        assert mask == residue_signature(n, f)
+    for scan in scans:
+        table = scan()
+        assert table.radius == radius
+        assert table.initial == policy.initial_radius(p)
+        assert list(table.masks) == list(range(2, stop + 1))
+        for n, mask in table.masks.items():
+            assert mask == residue_signature(n, f)
     assert survey_row(p, policy=policy).n_used == table.radius
 
 
@@ -527,3 +533,15 @@ def test_candidate_tables_raise_like_the_scalar_scan(policy):
         _candidate_tables(fields, policy)
     assert (err.value.p, err.value.radius, err.value.uncovered) == (first.p, first.radius, first.uncovered)
     assert str(err.value) == str(first)
+
+
+@pytest.mark.parametrize("policy", POLICIES_THAT_BITE)
+def test_candidate_tables_raise_without_the_scalar_scan(monkeypatch, policy):
+    # The batch raises its own error for an uncovered field, with no
+    # rescan by candidate_table.
+    def no_scalar_scan(field, policy):
+        raise AssertionError(f"candidate_table({field.p}) called by the batch")
+
+    monkeypatch.setattr(genset, "candidate_table", no_scalar_scan)
+    with pytest.raises(InfeasibleCoverError):
+        _candidate_tables(fields_of(primes_upto(2000)[1:]), policy)
