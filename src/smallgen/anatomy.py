@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .modcore import factorize
 
@@ -20,15 +21,19 @@ def smallness_threshold(n: int, l: float) -> float:
     """The cutoff ln(n+1) * l**l below which a prime divisor counts as small."""
     if n < 1:
         raise ValueError(f"threshold requires n >= 1, got {n}")
-    return _cutoff(math.log(n + 1), l)
+    return math.log(n + 1) * _l_constants(l)[0]
 
 
-def _cutoff(log_n: float, l: float) -> float:
-    """log_n * l**l for a checked l, saturating to inf where l**l overflows."""
+@lru_cache(typed=True)
+def _l_constants(l: float) -> tuple[float, float]:
+    """(l**l, ln l) of a checked l, with l**l inf where it overflows float64.
+
+    The cache holds the last 128 distinct l; typed keeps an int l apart from
+    its float, whose l**l may round differently.
+    """
     _check_l(l)
-    if l * math.log(l) > _LOG_OVERFLOW:
-        return math.inf
-    return log_n * l**l
+    log_l = math.log(l)
+    return (math.inf if l * log_l > _LOG_OVERFLOW else l**l), log_l
 
 
 def _check_l(l: float) -> None:
@@ -55,7 +60,8 @@ def anatomy_record(n: int, l_values, factors=None) -> AnatomyRecord:
 
     factors, if given, is the factorization of n as (prime, multiplicity)
     pairs, e.g. FieldSpec.divisors for n = p - 1; it is then not recomputed.
-    ln(n + 1) is taken once for every l.
+    ln(n + 1) is taken once for every l.  Each distinct l is checked, and its
+    l**l and ln l computed, once for all records (_l_constants).
     """
     if n < 1:
         raise ValueError(f"anatomy requires n >= 1, got {n}")
@@ -65,11 +71,13 @@ def anatomy_record(n: int, l_values, factors=None) -> AnatomyRecord:
     log_n = math.log(n + 1)
     omega_map: dict[float, int] = {}
     thresholds: dict[float, float] = {}
+    bounds: dict[float, float] = {}
     for l in l_values:
-        cutoff = _cutoff(log_n, l)
-        thresholds[float(l)] = cutoff
-        omega_map[float(l)] = sum(1 for q, _ in factors if q <= cutoff)
-    bounds = {l: bound_general(om, w, l) if l > 1 else math.nan for l, w in omega_map.items()}
+        power, log_l = _l_constants(l)
+        key = float(l)
+        cutoff = thresholds[key] = log_n * power
+        w = omega_map[key] = len([q for q, _ in factors if q <= cutoff])
+        bounds[key] = _bound(om, w, log_l) if l > 1 else math.nan
     return AnatomyRecord(n=n, omega=om, omega_l=omega_map, thresholds=thresholds, bounds=bounds)
 
 
@@ -79,7 +87,12 @@ def bound_general(omega_total: int, omega_small: int, l: float) -> float:
         raise ValueError("need omega >= omega_l >= 0")
     if l <= 1.0:
         raise ValueError(f"l must exceed 1 (ln l > 0 required), got {l}")
-    return omega_small + (omega_total - omega_small) / math.log(l)
+    return _bound(omega_total, omega_small, math.log(l))
+
+
+def _bound(omega_total: int, omega_small: int, log_l: float) -> float:
+    """bound_general's formula, given ln l."""
+    return omega_small + (omega_total - omega_small) / log_l
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,15 @@ A record is a dataclass or a NamedTuple; its wire format follows from
 ``dataclasses.fields`` and ``typing.get_type_hints`` alone.  Dict keys are
 written as format(k, "g") for floats and str(k) for ints, in sorted order.
 The JSON plan for each type is built once, so the loop over rows does no
-reflection.  Each to_csv and from_csv call generates one function that
-encodes or decodes a whole row, with eval as dataclasses and namedtuple do.
-Its source is made of field names (identifiers, as dataclasses and NamedTuple
-require), fixed templates and generated names; every dict key and type it
-needs is bound in its namespace, so no data is ever part of the source.
+reflection.  A float that is not finite goes to JSON as the string "nan",
+"inf" or "-inf", its CSV spelling, so the text is strict JSON (RFC 8259).
+Each to_csv and from_csv call generates one function that encodes or decodes
+a whole row, with eval as dataclasses and namedtuple do.  Its source is made
+of field names (identifiers, as dataclasses and NamedTuple require), fixed
+templates and generated names; every dict key and type it needs is bound in
+its namespace, so no data is ever part of the source.  Element lists repeat
+across rows, so each call's function also holds one dict per tuple column:
+a distinct cell is parsed, or a distinct int tuple formatted, once per call.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import typing
 from functools import cache
 
@@ -54,7 +59,14 @@ def _json_encoder(tp):
     if origin is dict:
         key, enc = _key(args[0]), _json_encoder(args[1])
         return lambda d: {key(k): v if enc is None else enc(v) for k, v in sorted(d.items())}
+    if tp is float:
+        return _json_float
     return None
+
+
+def _json_float(x: float):
+    """x, or "nan", "inf" or "-inf" (its CSV spelling) where JSON has no number for it."""
+    return x if math.isfinite(x) else str(x)
 
 
 @cache
@@ -70,21 +82,24 @@ def _json_decoder(tp):
     if origin is dict:
         key, dec = args[0], _json_decoder(args[1])
         return lambda d: {key(k): v if dec is None else dec(v) for k, v in d.items()}
+    if tp is float:
+        return float
     return None
 
 
 def to_json(obj, **lead) -> str:
     """JSON text (2-space indent, trailing newline) of a record or a list of records.
 
-    A nested record is an object and a tuple a list.  lead holds extra
-    top-level keys written before the fields of a single record.
+    A nested record is an object and a tuple a list.  A float that is not
+    finite is the string "nan", "inf" or "-inf", so the text is strict JSON.
+    lead holds extra top-level keys written before the fields of a single record.
     """
     if isinstance(obj, list):
         enc = _json_encoder(type(obj[0])) if obj else None
         data = [enc(row) for row in obj]
     else:
         data = {**lead, **_json_encoder(type(obj))(obj)}
-    return json.dumps(data, indent=2) + "\n"
+    return json.dumps(data, indent=2, allow_nan=False) + "\n"
 
 
 def from_json(cls, text: str):
@@ -104,14 +119,23 @@ def _bind(env: dict, value) -> str:
     return name
 
 
-def _cell(tp, v: str) -> str:
+def _memo(v: str, compute: str, env: dict) -> str:
+    """Source that computes compute once per distinct value of v, in a dict bound in env."""
+    memo = _bind(env, {})
+    return f"({memo}[{v}] if {v} in {memo} else {memo}.setdefault({v}, {compute}))"
+
+
+def _cell(tp, v: str, env: dict) -> str:
     """Source of the CSV cell of the value expression v, which has type tp."""
     if tp is bool:
         return f'("true" if {v} else "false")'
     if tp is float:
         return f'format({v}, ".12g")'
     if typing.get_origin(tp) is tuple:
-        return f'";".join([{_cell(typing.get_args(tp)[0], "x")} for x in {v}])'
+        item = typing.get_args(tp)[0]
+        cell = f'";".join([{_cell(item, "x", env)} for x in {v}])'
+        # Only int tuples: a float key would find the cell of 0.0 for -0.0.
+        return _memo(v, cell, env) if item is int else cell
     return f"str({v})"
 
 
@@ -120,7 +144,8 @@ def _parse(tp, v: str, env: dict) -> str:
     if tp is bool:
         return f'({v} == "true")'
     if typing.get_origin(tp) is tuple:
-        return f'(tuple([{_parse(typing.get_args(tp)[0], "x", env)} for x in {v}.split(";")]) if {v} else ())'
+        value = f'(tuple([{_parse(typing.get_args(tp)[0], "x", env)} for x in {v}.split(";")]) if {v} else ())'
+        return _memo(v, value, env)
     return f"{_bind(env, tp)}({v})"
 
 
@@ -140,10 +165,10 @@ def to_csv(rows) -> str:
             key_type, value_type = typing.get_args(tp)
             for k in sorted(getattr(rows[0], name)):
                 header.append(f"{column}_{_key(key_type)(k)}")
-                cells.append(_cell(value_type, f"row.{name}[{_bind(env, k)}]"))
+                cells.append(_cell(value_type, f"row.{name}[{_bind(env, k)}]", env))
         else:
             header.append(column)
-            cells.append(_cell(tp, f"row.{name}"))
+            cells.append(_cell(tp, f"row.{name}", env))
     encode = eval(f"lambda row: ({', '.join(cells)},)", env)
     buf = io.StringIO()
     writer = csv.writer(buf)

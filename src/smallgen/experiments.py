@@ -5,9 +5,11 @@ pool; results are always merged in ascending-p order and serialized with fixed
 formatting, making output bytes independent of the parallelism degree.  A
 survey task is one chunk of at most _SCAN_CHUNK primes, handled end to end:
 one batch pass factors its p - 1, _candidate_tables scans its candidate tables
-together with the int64 modpow kernel, and each row is built from its table.
+together with the int64 modpow kernel, and each row is built from its table,
+with the constructions run once per distinct (r, masks) of the chunk.
 survey_row, certify and the CLI's genset scan one field with candidate_table,
 the Python-pow oracle; both run genset's one scan loop and its stop rule.
+survey_row keeps no memo of constructions, so it stays the oracle.
 """
 
 from __future__ import annotations
@@ -83,23 +85,39 @@ class DensityRow:
 def survey_row(p: int, l_values=(2.0, 3.0), policy: SearchPolicy = SearchPolicy()) -> SurveyRow:
     """Compute one survey row for the prime p."""
     field = field_spec(p)
-    return _row(field, candidate_table(field, policy), l_values)
+    table = candidate_table(field, policy)
+    return _row(field, table, l_values, _constructions(table))
 
 
 def _chunk_rows(primes, l_values, policy) -> list[SurveyRow]:
     """The rows of a chunk of primes: one batch pass factors their p - 1,
     FieldSpec checks each p with its divisors, then the chunk's candidate
-    tables are scanned together."""
+    tables are scanned together.  The constructions run once per distinct
+    (r, mask sequence), in a memo that lives and dies with the chunk: the
+    masks are keyed 2..stop in order, so that key fixes every element."""
     fields = [FieldSpec(p, divisors) for p, divisors in p_minus_one_divisors(primes)]
-    return [_row(f, t, l_values) for f, t in zip(fields, _candidate_tables(fields, policy))]
+    rows, memo = [], {}
+    for f, t in zip(fields, _candidate_tables(fields, policy)):
+        key = (f.r, *t.masks.values())
+        if key not in memo:
+            memo[key] = _constructions(t)
+        rows.append(_row(f, t, l_values, memo[key]))
+    return rows
 
 
-def _row(field: FieldSpec, table: CandidateTable, l_values) -> SurveyRow:
+def _constructions(table: CandidateTable):
+    """(exact, sorted greedy, elementary) elements of one table."""
+    return (
+        exact_min_generating_set(table),
+        tuple(sorted(greedy_block_generating_set(table))),
+        elementary_generating_set(table),
+    )
+
+
+def _row(field: FieldSpec, table: CandidateTable, l_values, constructions) -> SurveyRow:
     p = field.p
     record = anatomy_record(p - 1, l_values, field.divisors)
-    exact = exact_min_generating_set(table)
-    greedy = tuple(sorted(greedy_block_generating_set(table)))
-    elementary = elementary_generating_set(table)
+    exact, greedy, elementary = constructions
     return SurveyRow(
         p=p,
         omega=record.omega,

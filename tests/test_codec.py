@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass
 
 import pytest
@@ -55,3 +56,39 @@ def test_csv_keeps_keys_and_text_out_of_the_generated_source():
     text = to_csv(rows)
     assert "counts___import__('os')" in text.splitlines()[0]
     assert from_csv(Tagged, text) == rows
+
+
+@dataclass(frozen=True)
+class Cells:
+    ints: tuple[int, ...]
+    floats: tuple[float, ...]
+
+
+def test_csv_float_tuples_keep_the_sign_of_zero():
+    # Equal tuples share a cell, so a memo keyed on (0.0,) would also write
+    # (-0.0,) as "0"; only int tuples are keyed on their value.
+    text = to_csv([Cells((1,), (0.0,)), Cells((1,), (-0.0,)), Cells((1,), (0.0,))])
+    assert text.split("\r\n")[1:4] == ["1,0", "1,-0", "1,0"]
+    back = from_csv(Cells, text)
+    assert [math.copysign(1.0, row.floats[0]) for row in back] == [1.0, -1.0, 1.0]
+
+
+def test_csv_nan_and_empty_tuples_round_trip():
+    rows = [Cells((), (math.nan,)), Cells((), ()), Cells((2, 3), (math.nan, -math.inf)), Cells((), (math.nan,))]
+    text = to_csv(rows)
+    assert text.split("\r\n")[1:5] == [",nan", ",", "2;3,nan;-inf", ",nan"]
+    back = from_csv(Cells, text)
+    assert [row.ints for row in back] == [(), (), (2, 3), ()]
+    assert [len(row.floats) for row in back] == [1, 0, 2, 1]
+    assert all(math.isnan(row.floats[0]) for row in (back[0], back[2], back[3]))
+    assert back[2].floats[1] == -math.inf
+
+
+def test_csv_repeated_cells_write_the_bytes_of_distinct_ones():
+    # Each row written alone meets every value once; together they repeat.
+    values = [(2,), (2, 3), (2,), (), (2, 3), (2,)]
+    rows = [Cells(v, ()) for v in values]
+    text = to_csv(rows)
+    assert text.split("\r\n")[1:-1] == [to_csv([row]).split("\r\n")[1] for row in rows]
+    assert text.split("\r\n")[1:7] == ["2,", "2;3,", "2,", ",", "2;3,", "2,"]
+    assert from_csv(Cells, text) == rows

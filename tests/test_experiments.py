@@ -133,6 +133,32 @@ def test_survey_row_matches_batch(rows_50):
             assert r == survey_row(r.p), r.p
 
 
+def test_survey_constructs_once_per_distinct_mask_sequence(monkeypatch):
+    # Within a chunk, fields with the same r and the same masks over 2..stop
+    # share their constructions; survey_row never memoizes.
+    calls = []
+    exact = genset.exact_min_generating_set
+
+    def counting_exact(table, *args):
+        calls.append(table.field.p)
+        return exact(table, *args)
+
+    primes = primes_upto(10_000)[1:].tolist()
+    chunks = [primes[lo : lo + experiments._SCAN_CHUNK] for lo in range(0, len(primes), experiments._SCAN_CHUNK)]
+    distinct = 0
+    for chunk in chunks:
+        tables = [genset.candidate_table(field_spec(p)) for p in chunk]
+        distinct += len({(t.field.r, *t.masks.values()) for t in tables})
+    monkeypatch.setattr(experiments, "exact_min_generating_set", counting_exact)
+    rows = survey(3, 10_000)
+    assert len(chunks) == 2 and len(rows) == len(primes) == 1228
+    assert len(calls) == distinct < len(rows) // 2
+    calls.clear()
+    for p in (7, 11, 13):  # 11 and 13 share r = 2 and the masks {2: 3}
+        survey_row(p)
+    assert calls == [7, 11, 13]
+
+
 def test_survey_row_scans_once(monkeypatch):
     # One candidate table per row; constructions and certificates read its
     # masks instead of recomputing residue signatures.
