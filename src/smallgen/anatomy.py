@@ -67,6 +67,12 @@ def anatomy_record(n: int, l_values, factors=None) -> AnatomyRecord:
         raise ValueError(f"anatomy requires n >= 1, got {n}")
     if factors is None:
         factors = factorize(n) if n > 1 else []
+    return AnatomyRecord(n, *_anatomy(n, l_values, factors))
+
+
+def _anatomy(n: int, l_values, factors):
+    """anatomy_record's fields after n, (omega, omega_l, thresholds, bounds),
+    for n >= 1 and its factors, without the record."""
     om = len(factors)
     log_n = math.log(n + 1)
     omega_map: dict[float, int] = {}
@@ -78,7 +84,7 @@ def anatomy_record(n: int, l_values, factors=None) -> AnatomyRecord:
         cutoff = thresholds[key] = log_n * power
         w = omega_map[key] = len([q for q, _ in factors if q <= cutoff])
         bounds[key] = _bound(om, w, log_l) if l > 1 else math.nan
-    return AnatomyRecord(n=n, omega=om, omega_l=omega_map, thresholds=thresholds, bounds=bounds)
+    return om, omega_map, thresholds, bounds
 
 
 def bound_general(omega_total: int, omega_small: int, l: float) -> float:

@@ -4,9 +4,11 @@ Rows are pure functions of their prime, so surveys may fan out over a process
 pool; results are always merged in ascending-p order and serialized with fixed
 formatting, making output bytes independent of the parallelism degree.  A
 survey task is one chunk of at most _SCAN_CHUNK primes, handled end to end:
-one batch pass factors its p - 1, _candidate_tables scans its candidate tables
-together with the int64 modpow kernel, and each row is built from its table,
-with the constructions run once per distinct (r, masks) of the chunk.
+its p - 1 come factored (from the unsampled survey's one stride pass over the
+sieve, or from the sampled task's own trial division), _candidate_tables
+scans its candidate tables together with the int64 modpow kernel, and each
+row is built from its table, with the constructions run once per distinct
+(r, masks) of the chunk and the anatomy read without a record.
 survey_row, certify and the CLI's genset scan one field with candidate_table,
 the Python-pow oracle; both run genset's one scan loop and its stop rule.
 survey_row keeps no memo of constructions, so it stays the oracle.
@@ -22,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .anatomy import _check_l, anatomy_record, smallness_threshold
+from .anatomy import _anatomy, _check_l, smallness_threshold
 from .codec import from_csv, to_csv
 from .genset import (
     CandidateTable,
@@ -34,7 +36,7 @@ from .genset import (
     greedy_block_generating_set,
 )
 from .modcore import FieldSpec, field_spec
-from .sievelab import _one_mod_counts, p_minus_one_divisors, primes_upto
+from .sievelab import _divisor_runs, _one_mod_counts, _p_minus_one_blocks, p_minus_one_divisors, primes_upto
 
 # Meissel-Mertens constant: sum_{p<=T} 1/p = ln ln T + M + o(1).
 MEISSEL_MERTENS = 0.26149721284764278
@@ -89,13 +91,13 @@ def survey_row(p: int, l_values=(2.0, 3.0), policy: SearchPolicy = SearchPolicy(
     return _row(field, table, l_values, _constructions(table))
 
 
-def _chunk_rows(primes, l_values, policy) -> list[SurveyRow]:
-    """The rows of a chunk of primes: one batch pass factors their p - 1,
-    FieldSpec checks each p with its divisors, then the chunk's candidate
-    tables are scanned together.  The constructions run once per distinct
-    (r, mask sequence), in a memo that lives and dies with the chunk: the
-    masks are keyed 2..stop in order, so that key fixes every element."""
-    fields = [FieldSpec(p, divisors) for p, divisors in p_minus_one_divisors(primes)]
+def _chunk_rows(divisors, l_values, policy) -> list[SurveyRow]:
+    """The rows of a chunk of primes: divisors() yields each (p, divisors of
+    p - 1), FieldSpec checks each p with its divisors, then the chunk's
+    candidate tables are scanned together.  The constructions run once per
+    distinct (r, mask sequence), in a memo that lives and dies with the chunk:
+    the masks are keyed 2..stop in order, so that key fixes every element."""
+    fields = [FieldSpec(p, d) for p, d in divisors()]
     rows, memo = [], {}
     for f, t in zip(fields, _candidate_tables(fields, policy)):
         key = (f.r, *t.masks.values())
@@ -116,18 +118,18 @@ def _constructions(table: CandidateTable):
 
 def _row(field: FieldSpec, table: CandidateTable, l_values, constructions) -> SurveyRow:
     p = field.p
-    record = anatomy_record(p - 1, l_values, field.divisors)
+    omega, omega_l, _, bounds = _anatomy(p - 1, l_values, field.divisors)
     exact, greedy, elementary = constructions
     return SurveyRow(
         p=p,
-        omega=record.omega,
-        omega_l=record.omega_l,
+        omega=omega,
+        omega_l=omega_l,
         h_exact=len(exact),
         h_greedy=len(greedy),
         h_elementary=len(elementary),
         n_used=table.radius,
         asymptotic_violation=table.radius > table.initial,
-        bounds=record.bounds,
+        bounds=bounds,
         exact_elements=exact,
         greedy_elements=greedy,
         elementary_elements=elementary,
@@ -147,12 +149,15 @@ def survey(
     With sample=k, every ceil(n/k)-th prime of the range is taken, starting
     from the first.  Rows come back in ascending p regardless of threads.
     Sieves [0, p_max], so p_max over the sieve cap raises ResourceLimitError.
+    Unsampled, the sieve is sievelab._p_minus_one_blocks, which factors every
+    p - 1 of the range in one stride pass; sampled, it lists every prime up
+    to p_max, and each task factors its own p - 1 by p_minus_one_divisors.
     The selected primes are cut once into tasks of _SCAN_CHUNK primes, or
-    with threads > 1 fewer where that gives each worker about eight tasks.
-    With threads > 1 the pool starts no more workers than there are tasks.
-    Each task, in a pool worker when threads > 1, factors its p - 1 in one
-    batch pass by the primes up to sqrt(its max p - 1), p_minus_one_divisors,
-    so no row factorizes and each FieldSpec still checks its divisors; then
+    with threads > 1 fewer where that gives each worker about eight tasks;
+    an unsampled task carries its stretch of the pass's arrays.  With
+    threads > 1 the pool starts no more workers than there are tasks.  Each
+    task, in a pool worker when threads > 1, builds its divisor tuples, so no
+    row factorizes and each FieldSpec still checks its divisors; then
     genset._candidate_tables scans its tables together and its rows are built.
     """
     if p_min < 3:
@@ -166,19 +171,32 @@ def survey(
         _check_l(l)
     if p_max < p_min:
         return []
-    primes = primes_upto(p_max)
-    primes = primes[np.searchsorted(primes, p_min) :]
+    if sample is None:
+        arrays = [np.concatenate(parts) for parts in zip(*_p_minus_one_blocks(p_min, p_max))]
+        primes, counts, q, alpha = arrays or [np.empty(0, dtype=np.int64)] * 4
+        ends = np.concatenate(([0], np.cumsum(counts)))
+
+        def task(lo, hi):
+            pairs = slice(ends[lo], ends[hi])
+            return partial(_divisor_runs, primes[lo:hi], counts[lo:hi], q[pairs], alpha[pairs])
+
+    else:
+        primes = primes_upto(p_max)
+        primes = primes[np.searchsorted(primes, p_min) :]
+        primes = primes[:: max(1, math.ceil(primes.size / sample))]
+
+        def task(lo, hi):
+            return partial(p_minus_one_divisors, primes[lo:hi])
+
     if primes.size == 0:
         return []
-    if sample is not None:
-        primes = primes[:: math.ceil(primes.size / sample)]
     size = _SCAN_CHUNK if threads == 1 else min(_SCAN_CHUNK, math.ceil(primes.size / (threads * 8)))
-    chunks = [primes[lo : lo + size] for lo in range(0, primes.size, size)]
+    tasks = [task(lo, min(lo + size, primes.size)) for lo in range(0, primes.size, size)]
     worker = partial(_chunk_rows, l_values=l_values, policy=policy)
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
-            return [row for rows in pool.map(worker, chunks) for row in rows]
-    return [row for rows in map(worker, chunks) for row in rows]
+        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+            return [row for rows in pool.map(worker, tasks) for row in rows]
+    return [row for rows in map(worker, tasks) for row in rows]
 
 
 def density_experiment(x: int, l_values) -> list[DensityRow]:

@@ -33,6 +33,8 @@ _MR_TIER_BOUNDS = (
     3825123056546413051,
 )
 _MR_TIER_SIZES = (1, 2, 3, 4, 5, 6, 7, 9, len(_MR_WITNESSES))
+# 37#: gcd(n, 37#) > 1 iff a witness divides n, and then n is prime iff it is one.
+_WITNESS_PRODUCT = math.prod(_MR_WITNESSES)
 
 # Trial division strips only the small primes: Pollard rho finishes the
 # cofactor in about q**0.5 steps for its smallest prime q, where dividing
@@ -49,16 +51,12 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test (exact for all n < 2**64 and well beyond)."""
     if n < 2:
         return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
+    if math.gcd(n, _WITNESS_PRODUCT) != 1:
+        return n in _MR_WITNESSES
     if n < 1681:  # 41**2: a composite this small has a prime factor <= 37
         return True
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    d = (n - 1) >> s
     for a in _MR_WITNESSES[: _MR_TIER_SIZES[bisect_right(_MR_TIER_BOUNDS, n)]]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:

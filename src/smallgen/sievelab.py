@@ -14,9 +14,12 @@ over SIEVE_LIMIT; its base primes come from itself, run to sqrt(limit).  No
 other module reads its blocks.  primes_upto and the split stream them through
 one collector, psi_count strikes its own, and _one_mod_counts counts the
 primes p = 1 mod q for density_experiment, so none holds an x-sized flag
-array; only prime_flags copies them into one.  p_minus_one_divisors factors
-p - 1 for many primes at once, by one vectorized trial division over all of
-them; a survey calls it once per chunk of primes.
+array; only prime_flags copies them into one.  Two sources factor p - 1 for
+many primes at once, with the same (p, divisors) contract.
+_p_minus_one_blocks reads every divisor of every p - 1 in a range off the
+sieve's blocks by strides, and is an unsampled survey's source.
+p_minus_one_divisors trial-divides a given list of primes, and is a sampled
+survey's, which would otherwise factor every prime below p_max.
 """
 
 from __future__ import annotations
@@ -196,6 +199,83 @@ def p_minus_one_divisors(primes):
         if r > 1:
             pairs.append((r, 1))
         yield p, tuple(pairs)
+
+
+def _p_minus_one_blocks(p_min: int, p_max: int):
+    """Factor p - 1 for every odd prime p in [p_min, p_max] in one stride pass
+    over the sieve's blocks.  Yield per block (primes, counts, q, alpha): its
+    primes from p_min on (int64) and their pairs (q int32, alpha int8),
+    counts[0] (int8) for primes[0] and so on, q increasing within each
+    prime's run: FieldSpec's divisors.
+
+    Index i stands for p = 2i + 1, so p - 1 = 2i: q = 2 pairs with every p,
+    with alpha = 1 + v2(i).  An odd q <= sqrt(p_max - 1) divides p - 1 iff it
+    divides i, at the flagged indices of stride q from (-lo) mod q; those of
+    stride q**k give alpha, and q**alpha is divided out of a residual copy of
+    i there.  A residual above 1 is the one prime factor above the bound.  No
+    division is made by a q that does not divide, and blocks wholly below
+    p_min are sieved but not divided.  The limit is checked at the call,
+    before any allocation, as _odd_blocks checks it.
+    """
+    blocks = _odd_blocks(p_max)
+    odd_qs = primes_upto(math.isqrt(max(p_max - 1, 0)))[1:].tolist()
+    first = p_min // 2  # the index of the least odd n >= p_min
+
+    def factored():
+        for lo, block in blocks:
+            if first >= lo + block.size:
+                continue
+            if first > lo:
+                block, lo = block[first - lo :], first
+            rank = np.cumsum(block, dtype=np.int32) - 1  # a flagged index's place among the primes
+
+            def hits(m):  # the places of the primes whose i is a multiple of m
+                start = (-lo) % m
+                return rank[start::m][block[start::m]]
+
+            i = np.flatnonzero(block) + lo
+            # p - 1 < SIEVE_LIMIT < 2 * 3 * ... * 23 has at most 8 distinct prime
+            # factors, so each prime's pairs fill a row of 8 slots in q order.
+            q_slots = np.zeros((i.size, 8), dtype=np.int32)
+            alpha_slots = np.zeros((i.size, 8), dtype=np.int8)
+            counts = np.zeros(i.size, dtype=np.int8)
+
+            def put(own, q, alpha):
+                slot = counts[own]
+                q_slots[own, slot] = q
+                alpha_slots[own, slot] = alpha
+                counts[own] += 1
+
+            alpha = np.frexp(i & -i)[1]  # i & -i = 2**(alpha - 1)
+            residual = i >> (alpha - 1)
+            put(np.arange(i.size), 2, alpha)
+            for q in odd_qs:
+                own = hits(q)
+                alpha = np.ones(own.size, dtype=np.int64)
+                power, deeper = q * q, own
+                while deeper.size and power < lo + block.size:
+                    deeper = hits(power)
+                    alpha[np.searchsorted(own, deeper)] += 1
+                    power *= q
+                residual[own] //= q**alpha
+                put(own, q, alpha)
+            big = np.flatnonzero(residual > 1)
+            put(big, residual[big], 1)
+            filled = np.arange(8) < counts[:, None]
+            yield 2 * i + 1, counts, q_slots[filled], alpha_slots[filled]
+
+    return factored()
+
+
+def _divisor_runs(primes, counts, q, alpha):
+    """Yield (p, divisors) for each p in primes, in order, as p_minus_one_divisors
+    does, from a stretch of _p_minus_one_blocks' arrays: p's pairs are the
+    next counts of (q, alpha)."""
+    pairs = list(zip(q.tolist(), alpha.tolist()))
+    end = 0
+    for p, count in zip(primes.tolist(), counts.tolist()):
+        start, end = end, end + count
+        yield p, tuple(pairs[start:end])
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,29 @@ def test_survey_threads_deterministic(rows_50):
         assert survey_csv(rows_mt) == survey_csv(rows)
 
 
+def test_survey_threads_match_serial_across_a_sieve_block():
+    # The second sieve block starts at p = 2 * _SEGMENT_SPAN + 1 = 2097153.
+    assert 2_000_000 < 2 * sievelab._SEGMENT_SPAN + 1 < 2_300_000
+    rows = survey(2_000_000, 2_300_000)
+    assert len(rows) == 20578
+    assert survey(2_000_000, 2_300_000, threads=2) == rows
+
+
+def test_survey_takes_divisors_from_one_source(monkeypatch):
+    # An unsampled survey factors by the stride pass alone, a sampled one by
+    # p_minus_one_divisors per task alone; both give the same rows.
+    def refuse(*args):
+        raise AssertionError("the other divisor source was called")
+
+    full = survey(3, 3000)
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "primes_upto", refuse)
+        m.setattr(experiments, "p_minus_one_divisors", refuse)
+        assert survey(3, 3000) == full
+    monkeypatch.setattr(experiments, "_p_minus_one_blocks", refuse)
+    assert survey(3, 3000, sample=len(full)) == full
+
+
 def test_survey_starts_no_more_workers_than_tasks(monkeypatch, rows_50):
     # A fake pool records max_workers and maps serially, so no process
     # starts: 10**5 threads over 3..50 cut 14 primes into 14 one-prime tasks.

@@ -1,11 +1,13 @@
 import math
 import random
 import re
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smallgen import modcore
 from smallgen.modcore import (
     _POW_MOD_MAX,
     FieldSpec,
@@ -114,6 +116,44 @@ def test_is_prime_matches_twelve_witnesses(n):
 def test_is_prime_false_at_tier_bounds(bound, k):
     assert strong_probable_prime(bound, WITNESSES[:k])
     assert not is_prime(bound)
+
+
+def loop_is_prime(n):
+    """The reference: is_prime with its witness trial loop and halving loop."""
+    if n < 2:
+        return False
+    for p in WITNESSES:
+        if n % p == 0:
+            return n == p
+    if n < 1681:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in WITNESSES[: modcore._MR_TIER_SIZES[bisect_right(modcore._MR_TIER_BOUNDS, n)]]:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_is_prime_matches_the_loop_reference():
+    # A seeded sample near 2**62, every integer of a short run there (evens
+    # and witness multiples included), and the strong pseudoprime at each
+    # tier bound with its neighbours.
+    rng = random.Random(62)
+    sample = [rng.randrange(2**62 - 2**40, 2**62 + 2**40) for _ in range(3000)]
+    sample += range(2**62 - 200, 2**62 + 200)
+    sample += [b + k for b in modcore._MR_TIER_BOUNDS for k in (-2, -1, 0, 1, 2)]
+    assert [is_prime(n) for n in sample] == [loop_is_prime(n) for n in sample]
+    assert not any(is_prime(b) for b in modcore._MR_TIER_BOUNDS)
 
 
 def test_factorize_examples():

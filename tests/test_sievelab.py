@@ -72,6 +72,54 @@ def test_p_minus_one_divisors_edges():
         list(p_minus_one_divisors([1, 7]))  # p - 1 = 0 has no factorization
 
 
+def stride_pass(p_min, p_max):
+    """(p, divisors) for the odd primes of [p_min, p_max], from the stride pass."""
+    return [pair for block in sievelab._p_minus_one_blocks(p_min, p_max) for pair in sievelab._divisor_runs(*block)]
+
+
+def test_stride_pass_matches_p_minus_one_divisors():
+    # Every odd prime to 1e6, and every prime of the last 2e5 below 1e8 (its
+    # primes listed by is_prime, so nothing but the pass sieves to 1e8).
+    primes = primes_upto(10**6)[1:]
+    assert stride_pass(3, 10**6) == list(p_minus_one_divisors(primes))
+    lo, hi = 10**8 - 2 * 10**5, 10**8
+    window = [n for n in range(lo + 1, hi, 2) if is_prime(n)]
+    assert stride_pass(lo, hi) == list(p_minus_one_divisors(window))
+
+
+def test_stride_pass_edges():
+    # p_min inside the second block: the first is sieved but yields nothing.
+    span = sievelab._SEGMENT_SPAN
+    p_min, p_max = 2 * span + 5001, 2 * span + 20_000
+    assert len(list(sievelab._p_minus_one_blocks(p_min, p_max))) == 1
+    primes = primes_upto(p_max)
+    assert stride_pass(p_min, p_max) == list(p_minus_one_divisors(primes[np.searchsorted(primes, p_min) :]))
+    assert stride_pass(90, 100) == [(97, ((2, 5), (3, 1)))]
+    assert stride_pass(3, 5) == [(3, ((2, 1),)), (5, ((2, 2),))]
+    for p_max in (0, 1, 2):
+        assert stride_pass(2, p_max) == []
+    assert [r.p for r in survey(3, 5)] == [3, 5]
+
+
+def test_stride_pass_refuses_past_the_cap_when_called(monkeypatch):
+    # The refusal is _odd_blocks' own, made when the pass is called and not
+    # iterated; the spy records a limit only if the sieve accepted it, and no
+    # numpy constructor may allocate an element.
+    sieved = []
+    odd_blocks = sievelab._odd_blocks
+
+    def spy(limit, *args, **kwargs):
+        blocks = odd_blocks(limit, *args, **kwargs)
+        sieved.append(limit)
+        return blocks
+
+    monkeypatch.setattr(sievelab, "_odd_blocks", spy)
+    monkeypatch.setattr(sievelab, "np", capped_numpy(0))
+    with pytest.raises(ResourceLimitError):
+        sievelab._p_minus_one_blocks(3, sievelab.SIEVE_LIMIT + 1)
+    assert sieved == []
+
+
 def test_segmented_matches_simple(simple_prime_flags):
     # every small limit, and the limits around the first three segment ends;
     # a segment of odd flags spans 2 * _SEGMENT_SPAN integers
