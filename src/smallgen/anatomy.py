@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .modcore import factorize
 
@@ -24,16 +23,19 @@ def smallness_threshold(n: int, l: float) -> float:
     return math.log(n + 1) * _l_constants(l)[0]
 
 
-@lru_cache(typed=True)
 def _l_constants(l: float) -> tuple[float, float]:
     """(l**l, ln l) of a checked l, with l**l inf where it overflows float64.
 
-    The cache holds the last 128 distinct l; typed keeps an int l apart from
-    its float, whose l**l may round differently.
+    l**l is taken of l as given: an int l's may round unlike its float's.
     """
     _check_l(l)
     log_l = math.log(l)
     return (math.inf if l * log_l > _LOG_OVERFLOW else l**l), log_l
+
+
+def _l_table(l_values) -> tuple[tuple[float, float, float, bool], ...]:
+    """(float l, l**l, ln l, l > 1) of each checked l: what _anatomy reads per l."""
+    return tuple((float(l), *_l_constants(l), l > 1) for l in l_values)
 
 
 def _check_l(l: float) -> None:
@@ -60,30 +62,29 @@ def anatomy_record(n: int, l_values, factors=None) -> AnatomyRecord:
 
     factors, if given, is the factorization of n as (prime, multiplicity)
     pairs, e.g. FieldSpec.divisors for n = p - 1; it is then not recomputed.
-    ln(n + 1) is taken once for every l.  Each distinct l is checked, and its
-    l**l and ln l computed, once for all records (_l_constants).
+    Each l is checked, and its l**l and ln l computed, before n is factored;
+    ln(n + 1) is taken once for every l.
     """
     if n < 1:
         raise ValueError(f"anatomy requires n >= 1, got {n}")
+    ls = _l_table(l_values)
     if factors is None:
         factors = factorize(n) if n > 1 else []
-    return AnatomyRecord(n, *_anatomy(n, l_values, factors))
+    return AnatomyRecord(n, *_anatomy(n, ls, factors))
 
 
-def _anatomy(n: int, l_values, factors):
+def _anatomy(n: int, ls, factors):
     """anatomy_record's fields after n, (omega, omega_l, thresholds, bounds),
-    for n >= 1 and its factors, without the record."""
+    for n >= 1, its factors and the _l_table ls, without the record."""
     om = len(factors)
     log_n = math.log(n + 1)
     omega_map: dict[float, int] = {}
     thresholds: dict[float, float] = {}
     bounds: dict[float, float] = {}
-    for l in l_values:
-        power, log_l = _l_constants(l)
-        key = float(l)
+    for key, power, log_l, above_one in ls:
         cutoff = thresholds[key] = log_n * power
         w = omega_map[key] = len([q for q, _ in factors if q <= cutoff])
-        bounds[key] = _bound(om, w, log_l) if l > 1 else math.nan
+        bounds[key] = w + (om - w) / log_l if above_one else math.nan
     return om, omega_map, thresholds, bounds
 
 
@@ -93,12 +94,7 @@ def bound_general(omega_total: int, omega_small: int, l: float) -> float:
         raise ValueError("need omega >= omega_l >= 0")
     if l <= 1.0:
         raise ValueError(f"l must exceed 1 (ln l > 0 required), got {l}")
-    return _bound(omega_total, omega_small, math.log(l))
-
-
-def _bound(omega_total: int, omega_small: int, log_l: float) -> float:
-    """bound_general's formula, given ln l."""
-    return omega_small + (omega_total - omega_small) / log_l
+    return omega_small + (omega_total - omega_small) / math.log(l)
 
 
 @dataclass(frozen=True)

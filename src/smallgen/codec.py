@@ -2,17 +2,23 @@
 
 A record is a dataclass or a NamedTuple; its wire format follows from
 ``dataclasses.fields`` and ``typing.get_type_hints`` alone.  Dict keys are
-written as format(k, "g") for floats and str(k) for ints, in sorted order.
-The JSON plan for each type is built once, so the loop over rows does no
-reflection.  A float that is not finite goes to JSON as the string "nan",
-"inf" or "-inf", its CSV spelling, so the text is strict JSON (RFC 8259).
-Each to_csv and from_csv call generates one function that encodes or decodes
-a whole row, with eval as dataclasses and namedtuple do.  Its source is made
-of field names (identifiers, as dataclasses and NamedTuple require), fixed
-templates and generated names; every dict key and type it needs is bound in
-its namespace, so no data is ever part of the source.  Element lists repeat
-across rows, so each call's function also holds one dict per tuple column:
-a distinct cell is parsed, or a distinct int tuple formatted, once per call.
+written as str(k) for ints, and for floats as format(k, "g") where that reads
+back as k, else repr(k), in sorted order.  The JSON plan for each type is
+built once, so the loop over rows does no reflection.  A float that is not
+finite goes to JSON as the string "nan", "inf" or "-inf", its CSV spelling,
+so the text is strict JSON (RFC 8259).  Each to_csv and from_csv call
+generates one function that encodes or decodes a whole row, with eval as
+dataclasses and namedtuple do; to_csv's is one f-string that writes the
+row's CRLF line.  It quotes as csv.writer (QUOTE_MINIMAL) does: a cell that
+holds , " CR or LF goes in quotes with its quotes doubled, and a record's
+lone empty cell is written "".  No int, float or bool cell can need that, so
+only the header, text cells and a lone cell are looked at.  The source is
+made of field names (identifiers, as dataclasses and NamedTuple require),
+fixed templates and generated names; every dict key and type it needs is
+bound in its namespace, so no data is ever part of the source.  Element
+lists repeat across rows, so each call's function also holds one dict per
+tuple column: a distinct cell is parsed, or a distinct int tuple formatted,
+once per call.
 """
 
 from __future__ import annotations
@@ -41,7 +47,8 @@ def _fields(cls) -> tuple[tuple[str, object, str], ...]:
 
 
 def _key(key_type):
-    return (lambda k: format(k, "g")) if key_type is float else str
+    """Key to text: str, or for a float format(k, "g") where that reads back as k, else repr(k)."""
+    return (lambda k: format(k, "g") if float(format(k, "g")) == k else repr(k)) if key_type is float else str
 
 
 @cache
@@ -149,32 +156,54 @@ def _parse(tp, v: str, env: dict) -> str:
     return f"{_bind(env, tp)}({v})"
 
 
+def _quote(cell: str, lone: bool = False) -> str:
+    """cell as csv.writer (QUOTE_MINIMAL) writes it: quoted, its quotes doubled,
+    where it holds , " CR or LF; "" where it is empty and its record's lone cell."""
+    if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return '""' if lone and not cell else cell
+
+
 def to_csv(rows) -> str:
     """RFC-4180 CSV text (CRLF, header row) of records of one class; "" for no rows.
 
     A field's column is its name, or the "csv" name in its metadata.  A dict
     field has one column <column>_<key> per key of the first row.  Floats get
     12 significant digits, booleans are true/false, tuples are joined by ";".
-    One encoder per call, generated from the fields and those keys, formats a row.
+    One f-string per call, generated from the fields and those keys, writes a
+    row's CRLF line.  A header cell, a record's lone cell and a cell that can
+    hold text (of any type but int, float, bool or a tuple of them) go
+    through _quote, csv.writer's rule; no other cell can need quotes.
     """
     if not rows:
         return ""
-    header, cells, env = [], [], {}
+    header, cells, env = [], [], {"_quote": _quote}
     for name, tp, column in _fields(type(rows[0])):
         if typing.get_origin(tp) is dict:
             key_type, value_type = typing.get_args(tp)
             for k in sorted(getattr(rows[0], name)):
                 header.append(f"{column}_{_key(key_type)(k)}")
-                cells.append(_cell(value_type, f"row.{name}[{_bind(env, k)}]", env))
+                cells.append((value_type, f"row.{name}[{_bind(env, k)}]"))
         else:
             header.append(column)
-            cells.append(_cell(tp, f"row.{name}", env))
-    encode = eval(f"lambda row: ({', '.join(cells)},)", env)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(map(encode, rows))
+            cells.append((tp, f"row.{name}"))
+    lone = len(cells) == 1
+    fields = []
+    for tp, v in cells:
+        cell = _cell(tp, v, env)  # cell sources hold no ' and no braces
+        fields.append(f"{{_quote({cell}, {lone})}}" if lone or _holds_text(tp) else f"{{{cell}}}")
+    encode = eval(f"lambda row: f'{','.join(fields)}\\r\\n'", env)
+    buf = io.StringIO()  # one line at a time: no list of every line
+    buf.write(",".join(_quote(h, lone) for h in header) + "\r\n")
+    buf.writelines(map(encode, rows))
     return buf.getvalue()
+
+
+def _holds_text(tp) -> bool:
+    """Whether a cell of type tp can hold text, which may need quotes."""
+    if typing.get_origin(tp) is tuple:
+        tp = typing.get_args(tp)[0]
+    return tp not in (int, float, bool)
 
 
 def from_csv(cls, text: str) -> list:

@@ -8,7 +8,8 @@ its p - 1 come factored (from the unsampled survey's one stride pass over the
 sieve, or from the sampled task's own trial division), _candidate_tables
 scans its candidate tables together with the int64 modpow kernel, and each
 row is built from its table, with the constructions run once per distinct
-(r, masks) of the chunk and the anatomy read without a record.
+(r, masks) of the chunk and the anatomy read without a record, from one
+table of l constants per survey.
 survey_row, certify and the CLI's genset scan one field with candidate_table,
 the Python-pow oracle; both run genset's one scan loop and its stop rule.
 survey_row keeps no memo of constructions, so it stays the oracle.
@@ -24,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .anatomy import _anatomy, _check_l, smallness_threshold
+from .anatomy import _anatomy, _l_table, smallness_threshold
 from .codec import from_csv, to_csv
 from .genset import (
     CandidateTable,
@@ -86,24 +87,26 @@ class DensityRow:
 
 def survey_row(p: int, l_values=(2.0, 3.0), policy: SearchPolicy = SearchPolicy()) -> SurveyRow:
     """Compute one survey row for the prime p."""
+    ls = _l_table(l_values)
     field = field_spec(p)
     table = candidate_table(field, policy)
-    return _row(field, table, l_values, _constructions(table))
+    return _row(field, table, ls, _constructions(table))
 
 
-def _chunk_rows(divisors, l_values, policy) -> list[SurveyRow]:
+def _chunk_rows(divisors, ls, policy) -> list[SurveyRow]:
     """The rows of a chunk of primes: divisors() yields each (p, divisors of
     p - 1), FieldSpec checks each p with its divisors, then the chunk's
-    candidate tables are scanned together.  The constructions run once per
-    distinct (r, mask sequence), in a memo that lives and dies with the chunk:
-    the masks are keyed 2..stop in order, so that key fixes every element."""
+    candidate tables are scanned together; ls is the survey's _l_table.  The
+    constructions run once per distinct (r, mask sequence), in a memo that
+    lives and dies with the chunk: the masks are keyed 2..stop in order, so
+    that key fixes every element."""
     fields = [FieldSpec(p, d) for p, d in divisors()]
     rows, memo = [], {}
     for f, t in zip(fields, _candidate_tables(fields, policy)):
         key = (f.r, *t.masks.values())
         if key not in memo:
             memo[key] = _constructions(t)
-        rows.append(_row(f, t, l_values, memo[key]))
+        rows.append(_row(f, t, ls, memo[key]))
     return rows
 
 
@@ -116,23 +119,15 @@ def _constructions(table: CandidateTable):
     )
 
 
-def _row(field: FieldSpec, table: CandidateTable, l_values, constructions) -> SurveyRow:
+def _row(field: FieldSpec, table: CandidateTable, ls, constructions) -> SurveyRow:
+    """The SurveyRow of one field, its arguments in SurveyRow's field order."""
     p = field.p
-    omega, omega_l, _, bounds = _anatomy(p - 1, l_values, field.divisors)
+    omega, omega_l, _, bounds = _anatomy(p - 1, ls, field.divisors)
     exact, greedy, elementary = constructions
+    radius = table.radius
     return SurveyRow(
-        p=p,
-        omega=omega,
-        omega_l=omega_l,
-        h_exact=len(exact),
-        h_greedy=len(greedy),
-        h_elementary=len(elementary),
-        n_used=table.radius,
-        asymptotic_violation=table.radius > table.initial,
-        bounds=bounds,
-        exact_elements=exact,
-        greedy_elements=greedy,
-        elementary_elements=elementary,
+        p, omega, omega_l, len(exact), len(greedy), len(elementary), radius,
+        radius > table.initial, bounds, exact, greedy, elementary,
     )
 
 
@@ -166,9 +161,7 @@ def survey(
         raise ValueError(f"sample must be >= 1, got {sample}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    l_values = tuple(float(l) for l in l_values)
-    for l in l_values:
-        _check_l(l)
+    ls = _l_table(float(l) for l in l_values)
     if p_max < p_min:
         return []
     if sample is None:
@@ -192,7 +185,7 @@ def survey(
         return []
     size = _SCAN_CHUNK if threads == 1 else min(_SCAN_CHUNK, math.ceil(primes.size / (threads * 8)))
     tasks = [task(lo, min(lo + size, primes.size)) for lo in range(0, primes.size, size)]
-    worker = partial(_chunk_rows, l_values=l_values, policy=policy)
+    worker = partial(_chunk_rows, ls=ls, policy=policy)
     if threads > 1:
         with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
             return [row for rows in pool.map(worker, tasks) for row in rows]
