@@ -8,8 +8,11 @@ its p - 1 come factored (from the unsampled survey's one stride pass over the
 sieve, or from the sampled task's own trial division), _candidate_tables
 scans its candidate tables together with the int64 modpow kernel, and each
 row is built from its table, with the constructions run once per distinct
-(r, masks) of the chunk and the anatomy read without a record, from one
-table of l constants per survey.
+(r, masks) in one memo per survey (per task under a process pool) and the
+anatomy read without a record, from one table of l constants per survey.
+SurveyRow, like FieldSpec and CandidateTable, is a frozen slotted dataclass
+whose one __init__ is modcore._frozen_init's, so rows, their CSV and JSON
+readers and dataclasses.replace build records through the same code.
 survey_row, certify and the CLI's genset scan one field with candidate_table,
 the Python-pow oracle; both run genset's one scan loop and its stop rule.
 survey_row keeps no memo of constructions, so it stays the oracle.
@@ -36,7 +39,7 @@ from .genset import (
     exact_min_generating_set,
     greedy_block_generating_set,
 )
-from .modcore import FieldSpec, field_spec
+from .modcore import FieldSpec, _frozen_init, field_spec
 from .sievelab import _divisor_runs, _one_mod_counts, _p_minus_one_blocks, p_minus_one_divisors, primes_upto
 
 # Meissel-Mertens constant: sum_{p<=T} 1/p = ln ln T + M + o(1).
@@ -48,6 +51,7 @@ MEISSEL_MERTENS = 0.26149721284764278
 _SCAN_CHUNK = 1024
 
 
+@_frozen_init
 @dataclass(frozen=True, slots=True)
 class SurveyRow:
     """Per-prime survey record: anatomy, the three generating-set sizes, bounds.
@@ -93,15 +97,16 @@ def survey_row(p: int, l_values=(2.0, 3.0), policy: SearchPolicy = SearchPolicy(
     return _row(field, table, ls, _constructions(table))
 
 
-def _chunk_rows(divisors, ls, policy) -> list[SurveyRow]:
+def _chunk_rows(divisors, ls, policy, memo) -> list[SurveyRow]:
     """The rows of a chunk of primes: divisors() yields each (p, divisors of
     p - 1), FieldSpec checks each p with its divisors, then the chunk's
     candidate tables are scanned together; ls is the survey's _l_table.  The
-    constructions run once per distinct (r, mask sequence), in a memo that
-    lives and dies with the chunk: the masks are keyed 2..stop in order, so
-    that key fixes every element."""
+    constructions run once per distinct (r, mask sequence) in memo, a dict
+    that survey shares among its serial chunks: the masks are keyed 2..stop
+    in order, so that key fixes every element, and a memo hit gives the
+    same rows as a fresh run."""
     fields = [FieldSpec(p, d) for p, d in divisors()]
-    rows, memo = [], {}
+    rows = []
     for f, t in zip(fields, _candidate_tables(fields, policy)):
         key = (f.r, *t.masks.values())
         if key not in memo:
@@ -154,6 +159,8 @@ def survey(
     task, in a pool worker when threads > 1, builds its divisor tuples, so no
     row factorizes and each FieldSpec still checks its divisors; then
     genset._candidate_tables scans its tables together and its rows are built.
+    The constructions memo is one dict for the whole survey; with threads > 1
+    each task is pickled with its own empty copy of it.
     """
     if p_min < 3:
         raise ValueError(f"p_min must be >= 3, got {p_min}")
@@ -185,7 +192,7 @@ def survey(
         return []
     size = _SCAN_CHUNK if threads == 1 else min(_SCAN_CHUNK, math.ceil(primes.size / (threads * 8)))
     tasks = [task(lo, min(lo + size, primes.size)) for lo in range(0, primes.size, size)]
-    worker = partial(_chunk_rows, ls=ls, policy=policy)
+    worker = partial(_chunk_rows, ls=ls, policy=policy, memo={})
     if threads > 1:
         with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
             return [row for rows in pool.map(worker, tasks) for row in rows]

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .modcore import FieldSpec, _pow_mod, multiplicative_order, residue_signature
+from .modcore import FieldSpec, _frozen_init, _pow_mod, multiplicative_order, residue_signature
 
 # Search radius grows like p**(1/(4*sqrt(e)) + epsilon).
 GENERATION_EXPONENT = 1.0 / (4.0 * math.sqrt(math.e))
@@ -100,7 +100,8 @@ def generates(elements, field: FieldSpec) -> bool:
     return union == full
 
 
-@dataclass(frozen=True)
+@_frozen_init
+@dataclass(frozen=True, slots=True)
 class CandidateTable:
     """Non-residue masks of the candidates n in [2, stop] for one field.
 

@@ -10,9 +10,12 @@ isqrt(2**63 - 1).
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
+from types import MemberDescriptorType
 
 import numpy as np
 
@@ -45,6 +48,8 @@ MAX_PRIME = 2**63  # supported field size: p < 2**63
 
 # isqrt(2**63 - 1): below it a product of two residues fits in an int64.
 _POW_MOD_MAX = 3037000499
+
+_DIVISORS_FORM = "divisors must be a tuple of (q, alpha) int tuples"
 
 
 def is_prime(n: int) -> bool:
@@ -119,11 +124,46 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return sorted(factors.items())
 
 
-@dataclass(frozen=True)
+def _frozen_init(cls):
+    """Class decorator giving a frozen, slotted dataclass one generated __init__
+    that sets each field through its slot's member descriptor, where the
+    dataclass's own goes through object.__setattr__ at about twice the cost.
+
+    Parameter names, order and defaults come from dataclasses.fields, and
+    __post_init__ runs where the class defines one, so replace, pickling,
+    ==, hash, repr and FrozenInstanceError are the dataclass's own.  A class
+    that is not frozen and slotted, or that has a default_factory, InitVar,
+    kw_only or init=False field, is refused.
+    """
+    fields = dataclasses.fields(cls)
+    names = [f.name for f in fields]
+    slots = [cls.__dict__.get(n) for n in names]
+    if not cls.__dataclass_params__.frozen or any(type(s) is not MemberDescriptorType for s in slots):
+        raise TypeError(f"{cls.__name__} must be a frozen dataclass with slots=True")
+    # The dataclass's own __init__ also takes each InitVar.
+    if list(inspect.signature(cls.__init__).parameters)[1:] != names or any(
+        not f.init or f.kw_only or f.default_factory is not MISSING for f in fields
+    ):
+        raise TypeError(f"{cls.__name__} may have only positional init fields without default_factory")
+    env = {f"_set_{n}": s.__set__ for n, s in zip(names, slots)}
+    env.update({f"_default_{f.name}": f.default for f in fields if f.default is not MISSING})
+    params = ", ".join(f"{n}=_default_{n}" if f"_default_{n}" in env else n for n in names)
+    body = "".join(f"    _set_{n}(self, {n})\n" for n in names)
+    if hasattr(cls, "__post_init__"):
+        body += "    self.__post_init__()\n"
+    exec(f"def __init__(self, {params}):\n{body}", env)
+    cls.__init__ = env["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    return cls
+
+
+@_frozen_init
+@dataclass(frozen=True, slots=True)
 class FieldSpec:
     """An odd prime p together with the full factorization of p-1.
 
-    divisors holds (q, alpha) pairs with q strictly increasing.  Left out, it
+    divisors holds (q, alpha) pairs with q strictly increasing, a tuple of
+    int tuples, so that FieldSpecs hash and compare by value.  Left out, it
     is factorize(p - 1), computed only once p has passed its checks, so a
     bad p is refused before any factoring.
     """
@@ -138,17 +178,28 @@ class FieldSpec:
             raise ValueError(f"p must be an odd prime, got {self.p}")
         if self.divisors is None:
             object.__setattr__(self, "divisors", tuple(factorize(self.p - 1)))
+        elif type(self.divisors) is not tuple:
+            raise ValueError(_DIVISORS_FORM)
         prod = 1
         prev_q = 0
-        for q, alpha in self.divisors:
-            if q <= prev_q:
-                raise ValueError("divisor primes must be strictly increasing")
-            if alpha < 1:
-                raise ValueError("divisor multiplicities must be >= 1")
-            if not is_prime(q):
-                raise ValueError(f"divisor {q} is not prime")
-            prod *= q**alpha
-            prev_q = q
+        try:
+            for pair in self.divisors:
+                if type(pair) is not tuple:
+                    raise ValueError(_DIVISORS_FORM)
+                q, alpha = pair
+                if q <= prev_q:
+                    raise ValueError("divisor primes must be strictly increasing")
+                if alpha < 1:
+                    raise ValueError("divisor multiplicities must be >= 1")
+                if not is_prime(q):
+                    raise ValueError(f"divisor {q} is not prime")
+                prod *= q**alpha
+                prev_q = q
+        except TypeError as e:  # a q that is_prime cannot take, or a pair that is not two numbers
+            raise ValueError(f"{_DIVISORS_FORM}: {e}") from None
+        # A q or alpha that is_prime took but is not an int (a numpy integer, a float alpha) makes prod one.
+        if type(prod) is not int:
+            raise ValueError(_DIVISORS_FORM)
         if prod != self.p - 1:
             raise ValueError("divisors do not reconstruct p - 1")
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import pickle
 from collections import Counter
@@ -157,8 +158,8 @@ def test_survey_row_matches_batch(rows_50):
 
 
 def test_survey_constructs_once_per_distinct_mask_sequence(monkeypatch):
-    # Within a chunk, fields with the same r and the same masks over 2..stop
-    # share their constructions; survey_row never memoizes.
+    # Across a serial survey's chunks, fields with the same r and the same
+    # masks over 2..stop share their constructions; survey_row never memoizes.
     calls = []
     exact = genset.exact_min_generating_set
 
@@ -167,15 +168,12 @@ def test_survey_constructs_once_per_distinct_mask_sequence(monkeypatch):
         return exact(table, *args)
 
     primes = primes_upto(10_000)[1:].tolist()
-    chunks = [primes[lo : lo + experiments._SCAN_CHUNK] for lo in range(0, len(primes), experiments._SCAN_CHUNK)]
-    distinct = 0
-    for chunk in chunks:
-        tables = [genset.candidate_table(field_spec(p)) for p in chunk]
-        distinct += len({(t.field.r, *t.masks.values()) for t in tables})
+    tables = [genset.candidate_table(field_spec(p)) for p in primes]
+    distinct = len({(t.field.r, *t.masks.values()) for t in tables})
     monkeypatch.setattr(experiments, "exact_min_generating_set", counting_exact)
     rows = survey(3, 10_000)
-    assert len(chunks) == 2 and len(rows) == len(primes) == 1228
-    assert len(calls) == distinct < len(rows) // 2
+    assert len(primes) > experiments._SCAN_CHUNK and len(rows) == len(primes) == 1228
+    assert len(calls) == distinct < len(rows) // 4
     calls.clear()
     for p in (7, 11, 13):  # 11 and 13 share r = 2 and the masks {2: 3}
         survey_row(p)
@@ -333,6 +331,56 @@ def test_survey_row_pickles_and_replaces(rows_50):
     assert other.n_used == row.n_used + 1 and other.exact_elements == row.exact_elements
     with pytest.raises(dataclasses.FrozenInstanceError):
         row.p = 5
+
+
+RECORDS = {
+    "FieldSpec": lambda: modcore.FieldSpec(7),
+    "CandidateTable": lambda: genset.candidate_table(field_spec(41)),
+    "SurveyRow": lambda: survey_row(577),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_contract(name):
+    # The per-row records keep the dataclass contract under _frozen_init's
+    # __init__: same parameters, frozen, slotted, pickled and replaced as before.
+    x = RECORDS[name]()
+    cls = type(x)
+    assert cls.__name__ == name
+    fields = dataclasses.fields(cls)
+    names = [f.name for f in fields]
+    params = inspect.signature(cls.__init__).parameters
+    assert list(params)[1:] == names
+    assert [params[f.name].default for f in fields] == [
+        inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default for f in fields
+    ]
+    args = tuple(getattr(x, n) for n in names)
+    assert cls(*args) == cls(**dict(zip(names, args))) == x
+    assert dataclasses.replace(x) == x == pickle.loads(pickle.dumps(x))
+    assert repr(x).startswith(f"{name}({names[0]}={getattr(x, names[0])!r}, ")
+    assert not hasattr(x, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(x, names[0], args[0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(x, names[0])
+    with pytest.raises(TypeError):
+        cls()
+    with pytest.raises(TypeError):
+        cls(*args, args[0])
+    with pytest.raises(TypeError):
+        cls(*args, extra=1)
+
+
+def test_field_spec_contract():
+    f = modcore.FieldSpec(7)
+    assert f.divisors == ((2, 1), (3, 1))
+    assert f == modcore.FieldSpec(7, ((2, 1), (3, 1))) and hash(f) == hash(modcore.FieldSpec(p=7))
+    assert dataclasses.replace(f, divisors=None) == f
+    assert repr(f) == "FieldSpec(p=7, divisors=((2, 1), (3, 1)))"
+    with pytest.raises(ValueError):
+        modcore.FieldSpec(9)
+    with pytest.raises(ValueError):
+        dataclasses.replace(f, p=9)  # replace reaches the checks too
 
 
 def test_csv_deterministic(rows_50):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -302,6 +303,16 @@ def test_field_spec_checks_supplied_divisors():
         (6147901291109779, ((2, 1), (3, 2), (341550071728321, 1)), "divisor 341550071728321 is not prime"),
         (3825123056546413051, ((2, 1),), "odd prime, got 3825123056546413051"),
         (31, ((2, 1), (3, 1), (5, 0)), "multiplicities must be >= 1"),
+        # A list would leave the FieldSpec unhashable and unequal to
+        # FieldSpec(7); a float or numpy q or alpha breaks the orders read from it.
+        (7, [(2, 1), (3, 1)], "divisors must be a tuple of"),
+        (7, ((2, 1), [3, 1]), "divisors must be a tuple of"),
+        (7, ((2, 1.0), (3, 1)), "divisors must be a tuple of"),
+        (7, ((2.0, 1), (3, 1)), "divisors must be a tuple of"),
+        (7, ((2, 1), (np.int64(3), 1)), "divisors must be a tuple of"),
+        (7, ((2, np.int64(1)), (3, 1)), "divisors must be a tuple of"),
+        (7, ((2, 1), 3), "divisors must be a tuple of"),
+        (7, (("2", 1), (3, 1)), "divisors must be a tuple of"),
     ]:
         with pytest.raises(ValueError, match=re.escape(named)):
             FieldSpec(p, divisors)
@@ -315,6 +326,38 @@ def test_field_spec_rejects_bad_input():
         FieldSpec(p=7, divisors=((2, 1),))  # does not reconstruct 6
     with pytest.raises(ValueError):
         FieldSpec(p=7, divisors=((3, 1), (2, 1)))  # not increasing
+
+
+def test_frozen_init_refuses_what_it_cannot_build():
+    @dataclasses.dataclass(frozen=True)
+    class NotSlotted:
+        a: int
+
+    @dataclasses.dataclass(slots=True)
+    class NotFrozen:
+        a: int
+
+    @dataclasses.dataclass(frozen=True, slots=True)
+    class Factory:
+        a: list = dataclasses.field(default_factory=list)
+
+    @dataclasses.dataclass(frozen=True, slots=True)
+    class HasInitVar:
+        a: int
+        b: dataclasses.InitVar[int]
+
+    @dataclasses.dataclass(frozen=True, slots=True)
+    class NoInit:
+        a: int
+        b: int = dataclasses.field(default=0, init=False)
+
+    @dataclasses.dataclass(frozen=True, slots=True)
+    class KeywordOnly:
+        a: int = dataclasses.field(kw_only=True)
+
+    for cls in (NotSlotted, NotFrozen, Factory, HasInitVar, NoInit, KeywordOnly):
+        with pytest.raises(TypeError):
+            modcore._frozen_init(cls)
 
 
 # ---------------------------------------------------------------------------
