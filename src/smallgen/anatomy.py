@@ -61,21 +61,21 @@ def anatomy_record(n: int, l_values, factors=None) -> AnatomyRecord:
     """Evaluate omega, omega_l(n, l) and the bound shape for each requested l.
 
     factors, if given, is the factorization of n as (prime, multiplicity)
-    pairs, e.g. FieldSpec.divisors for n = p - 1; it is then not recomputed.
-    Each l is checked, and its l**l and ln l computed, before n is factored;
-    ln(n + 1) is taken once for every l.
+    pairs in any order, e.g. FieldSpec.divisors for n = p - 1; it is then
+    not recomputed.  Each l is checked, and its l**l and ln l computed,
+    before n is factored; ln(n + 1) is taken once for every l.
     """
     if n < 1:
         raise ValueError(f"anatomy requires n >= 1, got {n}")
     ls = _l_table(l_values)
-    if factors is None:
-        factors = factorize(n) if n > 1 else []
+    factors = (factorize(n) if n > 1 else []) if factors is None else sorted(factors)
     return AnatomyRecord(n, *_anatomy(n, ls, factors))
 
 
 def _anatomy(n: int, ls, factors):
     """anatomy_record's fields after n, (omega, omega_l, thresholds, bounds),
-    for n >= 1, its factors and the _l_table ls, without the record."""
+    for n >= 1, its factors with q ascending and the _l_table ls, without the
+    record."""
     om = len(factors)
     log_n = math.log(n + 1)
     omega_map: dict[float, int] = {}
@@ -83,7 +83,12 @@ def _anatomy(n: int, ls, factors):
     bounds: dict[float, float] = {}
     for key, power, log_l, above_one in ls:
         cutoff = thresholds[key] = log_n * power
-        w = omega_map[key] = len([q for q, _ in factors if q <= cutoff])
+        w = 0
+        for q, _ in factors:  # q ascending: the first q above the cutoff ends the count
+            if q > cutoff:
+                break
+            w += 1
+        omega_map[key] = w
         bounds[key] = w + (om - w) / log_l if above_one else math.nan
     return om, omega_map, thresholds, bounds
 

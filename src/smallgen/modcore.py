@@ -1,16 +1,18 @@
 """Exact modular arithmetic over F_p*: primality, factorization, orders, power-residue tests.
 
-Everything here is deterministic and exact for inputs below 2**63: the
-Miller-Rabin witnesses are chosen by the size of n from sets proven to leave
-no strong pseudoprime below their bound (the full set is valid far beyond
-64 bits), so no probabilistic answers ever leak out.  The one vectorized
-kernel, _pow_mod, works in int64 and so accepts only moduli up to
-isqrt(2**63 - 1).
+Everything here is deterministic and exact for inputs below 2**63: is_prime
+reads n below 2**17 off a table of the package's one sieve, built on first
+use, and above it runs Miller-Rabin with witnesses chosen by the size of n
+from sets proven to leave no strong pseudoprime below their bound (the full
+set is valid far beyond 64 bits), so no probabilistic answers ever leak out.
+The one vectorized kernel, _pow_mod, works in int64 and so accepts only
+moduli up to isqrt(2**63 - 1).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 import math
 from bisect import bisect_right
@@ -24,9 +26,9 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Which prefix of the witnesses decides n, by size: below _MR_TIER_BOUNDS[i]
 # the first _MR_TIER_SIZES[i] suffice.  Each bound is the least strong
 # pseudoprime to its witness prefix, so the test is n < bound (Pomerance,
-# Selfridge and Wagstaff 1980; Jaeschke 1993; Jiang and Deng 2014).
+# Selfridge and Wagstaff 1980; Jaeschke 1993; Jiang and Deng 2014).  n below
+# the sieve table never gets here, so the tiers start at witnesses {2, 3}.
 _MR_TIER_BOUNDS = (
-    2047,
     1373653,
     25326001,
     3215031751,
@@ -35,8 +37,8 @@ _MR_TIER_BOUNDS = (
     341550071728321,
     3825123056546413051,
 )
-_MR_TIER_SIZES = (1, 2, 3, 4, 5, 6, 7, 9, len(_MR_WITNESSES))
-# 37#: gcd(n, 37#) > 1 iff a witness divides n, and then n is prime iff it is one.
+_MR_TIER_SIZES = (2, 3, 4, 5, 6, 7, 9, len(_MR_WITNESSES))
+# 37#: gcd(n, 37#) > 1 iff a witness divides n, and then an n above the table is composite.
 _WITNESS_PRODUCT = math.prod(_MR_WITNESSES)
 
 # Trial division strips only the small primes: Pollard rho finishes the
@@ -51,15 +53,28 @@ _POW_MOD_MAX = 3037000499
 
 _DIVISORS_FORM = "divisors must be a tuple of (q, alpha) int tuples"
 
+# is_prime reads n below this off a table of odd flags: 64 KiB, built in about
+# 0.1 ms, and covering p and every q of a survey to 1e5.  Every process that
+# asks a small n pays the build, and it grows with the limit (0.6 ms at 2**20).
+_TABLE_LIMIT = 1 << 17
+
+
+@functools.cache
+def _odd_prime_flags() -> bytes:
+    """Byte i is 1 iff 2i + 1 is prime, for 2i + 1 < _TABLE_LIMIT: the package's one sieve."""
+    from .sievelab import prime_flags  # sievelab imports this module
+
+    return prime_flags(_TABLE_LIMIT - 1).tobytes()
+
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test (exact for all n < 2**64 and well beyond)."""
     if n < 2:
         return False
+    if n < _TABLE_LIMIT:
+        return _odd_prime_flags()[n >> 1] == 1 if n & 1 else n == 2
     if math.gcd(n, _WITNESS_PRODUCT) != 1:
-        return n in _MR_WITNESSES
-    if n < 1681:  # 41**2: a composite this small has a prime factor <= 37
-        return True
+        return False
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
     d = (n - 1) >> s
     for a in _MR_WITNESSES[: _MR_TIER_SIZES[bisect_right(_MR_TIER_BOUNDS, n)]]:

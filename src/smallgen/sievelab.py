@@ -14,7 +14,8 @@ over SIEVE_LIMIT; its base primes come from itself, run to sqrt(limit).  No
 other module reads its blocks.  primes_upto and the split stream them through
 one collector, psi_count strikes its own, and _one_mod_counts counts the
 primes p = 1 mod q for density_experiment, so none holds an x-sized flag
-array; only prime_flags copies them into one.  Two sources factor p - 1 for
+array; only prime_flags copies them into one, and modcore.is_prime keeps
+that copy below 2**17 as its table.  Two sources factor p - 1 for
 many primes at once, with the same (p, divisors) contract.
 _p_minus_one_blocks reads every divisor of every p - 1 in a range off the
 sieve's blocks by strides, and is an unsampled survey's source.

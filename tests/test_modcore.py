@@ -1,7 +1,10 @@
 import dataclasses
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from bisect import bisect_right
 
 import numpy as np
@@ -147,14 +150,25 @@ def loop_is_prime(n):
 
 def test_is_prime_matches_the_loop_reference():
     # A seeded sample near 2**62, every integer of a short run there (evens
-    # and witness multiples included), and the strong pseudoprime at each
-    # tier bound with its neighbours.
+    # and witness multiples included), every integer from 1 to just past the
+    # sieve table's limit, and the strong pseudoprime at each tier bound with
+    # its neighbours.
     rng = random.Random(62)
     sample = [rng.randrange(2**62 - 2**40, 2**62 + 2**40) for _ in range(3000)]
     sample += range(2**62 - 200, 2**62 + 200)
+    sample += range(1, modcore._TABLE_LIMIT + 200)
     sample += [b + k for b in modcore._MR_TIER_BOUNDS for k in (-2, -1, 0, 1, 2)]
     assert [is_prime(n) for n in sample] == [loop_is_prime(n) for n in sample]
     assert not any(is_prime(b) for b in modcore._MR_TIER_BOUNDS)
+
+
+def test_import_builds_no_prime_table():
+    # The table is built on the first small n, not at import, so importing
+    # the package stays cheap and a cleared functools cache rebuilds it.
+    code = "import smallgen; from smallgen import modcore; print(modcore._odd_prime_flags.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(modcore.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+    assert out.strip() == "0"
 
 
 def test_factorize_examples():
