@@ -20,27 +20,22 @@ def smallness_threshold(n: int, l: float) -> float:
     """The cutoff ln(n+1) * l**l below which a prime divisor counts as small."""
     if n < 1:
         raise ValueError(f"threshold requires n >= 1, got {n}")
-    return math.log(n + 1) * _l_constants(l)[0]
-
-
-def _l_constants(l: float) -> tuple[float, float]:
-    """(l**l, ln l) of a checked l, with l**l inf where it overflows float64.
-
-    l**l is taken of l as given: an int l's may round unlike its float's.
-    """
-    _check_l(l)
-    log_l = math.log(l)
-    return (math.inf if l * log_l > _LOG_OVERFLOW else l**l), log_l
+    return math.log(n + 1) * _l_table((l,))[0][1]
 
 
 def _l_table(l_values) -> tuple[tuple[float, float, float, bool], ...]:
-    """(float l, l**l, ln l, l > 1) of each checked l: what _anatomy reads per l."""
-    return tuple((float(l), *_l_constants(l), l > 1) for l in l_values)
+    """(float l, l**l, ln l, l > 1) of each l: what _anatomy reads per l.
 
-
-def _check_l(l: float) -> None:
-    if not 1.0 <= l <= _L_GUARD:
-        raise ValueError(f"l must lie in [1, {_L_GUARD:g}], got {l}")
+    The one check of l.  l**l is taken of l as given, so an int l's may round
+    unlike its float's, and is inf where it overflows float64.
+    """
+    table = []
+    for l in l_values:
+        if not 1.0 <= l <= _L_GUARD:
+            raise ValueError(f"l must lie in [1, {_L_GUARD:g}], got {l}")
+        log_l = math.log(l)
+        table.append((float(l), math.inf if l * log_l > _LOG_OVERFLOW else l**l, log_l, l > 1))
+    return tuple(table)
 
 
 @dataclass(frozen=True)

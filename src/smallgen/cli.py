@@ -1,10 +1,11 @@
 """Command-line front door: genset, survey, density, sieve, anatomy.
 
-Data goes to stdout (or --output), diagnostics to stderr.  Exit codes:
-0 success; 2 an input outside the domain, either an argparse usage error or a
-ValueError from the library, which checks each input once; 1 infeasibility or
-a resource cap.  The csv and json formats are stable contracts; pretty output
-is for humans only.
+Each subcommand returns the text it writes and run writes it once, to stdout
+or to --output; diagnostics go to stderr.  Exit codes: 0 success; 2 an input
+outside the domain, either an argparse usage error or a ValueError from the
+library, which checks each input once; 1 infeasibility or a resource cap.
+The csv and json formats are stable contracts; pretty output is for humans
+only.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import os
 import sys
 
-from .anatomy import _check_l, anatomy_record, dyadic_schedule
+from .anatomy import _l_table, anatomy_record, dyadic_schedule
 from .codec import to_csv, to_json
 from .experiments import density_experiment, survey
 from .genset import (
@@ -134,31 +135,32 @@ def _parse_pset(parser, args) -> PrimeSetSpec:
     parser.error(f"unknown pset {text!r}")
 
 
-def _cmd_genset(parser, args) -> int:
-    field = field_spec(args.p)
-    policy = SearchPolicy(
-        epsilon=args.epsilon,
-        expand_on_failure=not args.no_expand,
-        hard_cap=args.hard_cap,
-    )
-    result = certify(candidate_table(field, policy), args.method, args.size_cap)
+def _render(args, data, pretty, **lead) -> str:
+    """data as args.format asks: csv, json with the lead keys first, or the
+    lines of pretty(), which is called only for pretty output."""
+    if args.format == "csv":
+        return to_csv(data)
     if args.format == "json":
-        _emit(to_json(result, p=args.p), args.output)
-        return 0
+        return to_json(data, **lead)
+    return "\n".join(pretty())
+
+
+def _cmd_genset(parser, args) -> str:
+    field = field_spec(args.p)
+    policy = SearchPolicy(epsilon=args.epsilon, expand_on_failure=not args.no_expand, hard_cap=args.hard_cap)
+    result = certify(candidate_table(field, policy), args.method, args.size_cap)
     g, order = result.certificate
-    lines = [
+    return _render(args, result, lambda: [
         f"p = {args.p}  (p-1 = {' * '.join(f'{q}^{a}' if a > 1 else str(q) for q, a in field.divisors)})",
         f"method = {result.method}" + ("" if result.method != "exact" else f"  (minimal: {str(result.exact).lower()})"),
         f"elements = {list(result.elements)}",
         "coverage: " + "; ".join(f"q={field.divisors[i][0]} <- {n}" for i, n in sorted(result.coverage.items())),
         f"n_used = {result.n_used}  asymptotic_violation = {str(result.asymptotic_violation).lower()}",
         f"certificate: g = {g}, order = {order}" + ("  (= p-1)" if order == args.p - 1 else ""),
-    ]
-    _emit("\n".join(lines), args.output)
-    return 0
+    ], p=args.p)
 
 
-def _cmd_survey(parser, args) -> int:
+def _cmd_survey(parser, args) -> str:
     threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
     rows = survey(
         args.min,
@@ -169,97 +171,67 @@ def _cmd_survey(parser, args) -> int:
         threads=threads,
     )
     print(f"surveyed {len(rows)} primes in [{args.min}, {args.max}]", file=sys.stderr)
-    if args.format == "csv":
-        _emit(to_csv(rows), args.output)
-    elif args.format == "json":
-        _emit(to_json(rows), args.output)
-    else:
-        ls = sorted(args.l)
-        head = f"{'p':>9} {'omega':>5} " + " ".join(f"w_l({format(l,'g')})" for l in ls)
-        head += f" {'h_ex':>4} {'h_gr':>4} {'h_el':>4} {'n_used':>6} {'viol':>5}"
-        lines = [head]
-        for r in rows:
-            line = f"{r.p:>9} {r.omega:>5} " + " ".join(f"{r.omega_l[l]:>{len(format(l,'g'))+6}}" for l in ls)
-            line += f" {r.h_exact:>4} {r.h_greedy:>4} {r.h_elementary:>4} {r.n_used:>6} {str(r.asymptotic_violation).lower():>5}"
-            lines.append(line)
-        _emit("\n".join(lines), args.output)
-    return 0
+    ls = sorted(args.l)
+    return _render(args, rows, lambda: [
+        f"{'p':>9} {'omega':>5} " + " ".join(f"w_l({format(l,'g')})" for l in ls)
+        + f" {'h_ex':>4} {'h_gr':>4} {'h_el':>4} {'n_used':>6} {'viol':>5}",
+        *(
+            f"{r.p:>9} {r.omega:>5} " + " ".join(f"{r.omega_l[l]:>{len(format(l,'g'))+6}}" for l in ls)
+            + f" {r.h_exact:>4} {r.h_greedy:>4} {r.h_elementary:>4} {r.n_used:>6} {str(r.asymptotic_violation).lower():>5}"
+            for r in rows
+        ),
+    ])
 
 
-def _cmd_density(parser, args) -> int:
+def _cmd_density(parser, args) -> str:
     rows = density_experiment(args.x, args.l)
-    if args.format == "csv":
-        _emit(to_csv(rows), args.output)
-    elif args.format == "json":
-        _emit(to_json(rows), args.output)
-    else:
-        lines = [
-            f"{'l':>6} {'threshold':>12} {'mean':>10} {'lnlnT+M':>10} {'ratio':>8} {'sum 1/(q-1)':>12} {'ratio':>8} {'degen':>5}"
-        ]
-        for r in rows:
-            lines.append(
-                f"{format(r.l,'g'):>6} {r.threshold:>12.3f} {r.empirical_mean:>10.6f} "
-                f"{r.prediction:>10.6f} {r.ratio:>8.4f} {r.prediction_harmonic:>12.6f} "
-                f"{r.ratio_harmonic:>8.4f} {str(r.degenerate).lower():>5}"
-            )
-        _emit("\n".join(lines), args.output)
-    return 0
+    return _render(args, rows, lambda: [
+        f"{'l':>6} {'threshold':>12} {'mean':>10} {'lnlnT+M':>10} {'ratio':>8} {'sum 1/(q-1)':>12} {'ratio':>8} {'degen':>5}",
+        *(
+            f"{format(r.l,'g'):>6} {r.threshold:>12.3f} {r.empirical_mean:>10.6f} "
+            f"{r.prediction:>10.6f} {r.ratio:>8.4f} {r.prediction_harmonic:>12.6f} "
+            f"{r.ratio_harmonic:>8.4f} {str(r.degenerate).lower():>5}"
+            for r in rows
+        ),
+    ])
 
 
-def _cmd_sieve(parser, args) -> int:
+def _cmd_sieve(parser, args) -> str:
     spec = _parse_pset(parser, args)
     if args.action == "psi":
         if spec.kind != "threshold" and args.u is not None and not args.u >= 1:
             parser.error(f"--u must be >= 1, got {args.u}")  # no library call sees u here
         value = psi_count(spec)
-        if args.format == "json":
-            _emit(json.dumps({"x": args.x, "psi": value}) + "\n", args.output)
-        else:
-            _emit(str(value), args.output)
-        return 0
+        return json.dumps({"x": args.x, "psi": value}) if args.format == "json" else str(value)
     if args.u is None or args.v_param is None:
         parser.error("sieve check requires --u and --v")
     report = sieve_bound_check(spec, args.u, args.v_param, args.epsilon)
-    if args.format == "json":
-        _emit(to_json(report), args.output)
-        return 0
-    lines = [
+    return _render(args, report, lambda: [
         f"x = {report.x}  u = {format(report.u,'g')}  v = {format(report.v,'g')}  epsilon = {format(report.epsilon,'g')}",
         f"psi = {report.psi}  expected = {report.expected:.6g}  conclusion_ratio = {report.conclusion_ratio:.6g}",
         f"hypothesis_sum = {report.hypothesis_sum:.6g}  needs >= {(1 + report.epsilon) / report.u:.6g}"
         f"  -> holds = {str(report.hypothesis_holds).lower()}",
         f"a_v_reference = v^-v = {report.a_v_reference:.6g}  v_in_window = {str(report.v_in_window).lower()}",
-    ]
-    _emit("\n".join(lines), args.output)
-    return 0
+    ])
 
 
-def _cmd_anatomy(parser, args) -> int:
+def _cmd_anatomy(parser, args) -> str:
     if args.dyadic is not None:
-        for l in args.l:  # the schedule ignores l, so no library call checks it
-            _check_l(l)
+        _l_table(args.l)  # the schedule ignores l, so no library call checks it
         schedule = dyadic_schedule(args.dyadic)
-        if args.format == "json":
-            _emit(to_json(schedule), args.output)
-        else:
-            if schedule.degenerate:
-                _emit(f"p = {schedule.p}: schedule degenerate (iterated logs too small)", args.output)
-            else:
-                levels = ", ".join(f"{v:.6g}" for v in schedule.levels)
-                _emit(f"p = {schedule.p}: N = {schedule.n_levels}, levels = [{levels}]", args.output)
-        return 0
+        return _render(args, schedule, lambda: [f"p = {schedule.p}: " + (
+            "schedule degenerate (iterated logs too small)" if schedule.degenerate
+            else f"N = {schedule.n_levels}, levels = [{', '.join(f'{v:.6g}' for v in schedule.levels)}]"
+        )])
     record = anatomy_record(args.n, args.l)
-    if args.format == "json":
-        _emit(to_json(record), args.output)
-        return 0
-    lines = [f"n = {record.n}  omega = {record.omega}"]
-    for l in sorted(record.omega_l):
-        lines.append(
+    return _render(args, record, lambda: [
+        f"n = {record.n}  omega = {record.omega}",
+        *(
             f"l = {format(l,'g')}: threshold = {record.thresholds[l]:.6g}, "
             f"omega_l = {record.omega_l[l]}, bound = {record.bounds[l]:.6g}"
-        )
-    _emit("\n".join(lines), args.output)
-    return 0
+            for l in sorted(record.omega_l)
+        ),
+    ])
 
 
 _COMMANDS = {
@@ -279,12 +251,13 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](parser, args)
+        _emit(_COMMANDS[args.command](parser, args), args.output)
     except SystemExit as exc:  # parser.error inside a subcommand
         return int(exc.code or 0)
     except (InfeasibleCoverError, ResourceLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 1
+    return 0
 
 
 def main() -> None:

@@ -92,8 +92,6 @@ def is_prime(n: int) -> bool:
 
 def _pollard_rho(n: int) -> int:
     """Floyd-cycle rho; returns a nontrivial factor of composite odd n."""
-    if n % 2 == 0:
-        return 2
     # Deterministic parameter sweep keeps factorizations reproducible.
     for c in range(1, n):
         x = y = 2

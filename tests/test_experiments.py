@@ -58,8 +58,14 @@ def test_survey_rows_reverify(rows_50):
             assert generates(elements, f)
 
 
-def test_survey_empty_range():
+def test_survey_empty_range(monkeypatch):
     assert survey(3, 2) == []
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool started for a range with no primes")
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+    assert survey(24, 28, threads=2) == []
 
 
 def test_survey_validation():
@@ -308,6 +314,7 @@ def test_survey_csv_round_trip(rows_50):
         assert a.elementary_elements == b.elementary_elements
         for l, v in a.bounds.items():
             assert math.isclose(v, b.bounds[l], rel_tol=1e-11)  # 12 significant digits
+    assert from_csv(SurveyRow, "") == []  # the empty survey's CSV is empty
 
 
 def test_survey_json_round_trip_exact(rows_50):

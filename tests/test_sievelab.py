@@ -36,6 +36,9 @@ def test_primes_upto_small():
         primes = primes_upto(limit)
         assert primes.tolist() == [n for n in range(limit + 1) if is_prime(n)], limit
         assert primes.dtype == np.int64
+    for sieve in (prime_flags, primes_upto):
+        with pytest.raises(ValueError, match="limit must be >= 0, got -1"):
+            sieve(-1)
 
 
 def test_prime_flags_against_miller_rabin():
