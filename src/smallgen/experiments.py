@@ -3,13 +3,13 @@
 Rows are pure functions of their prime, so surveys may fan out over a process
 pool; results are always merged in ascending-p order and serialized with fixed
 formatting, making output bytes independent of the parallelism degree.  A
-survey task is one chunk of at most _SCAN_CHUNK primes, handled end to end:
-its p - 1 come factored (from the unsampled survey's one stride pass over the
-sieve, or from the sampled task's own trial division), _candidate_tables
-scans its candidate tables together with the int64 modpow kernel, and each
-row is built from its table, with the constructions run once per distinct
-(r, masks) in one memo per survey (per task under a process pool) and the
-anatomy read without a record, from one table of l constants per survey.
+survey task is one stretch of the range, handled end to end: its p - 1 come
+factored (an unsampled window sieves itself and reads them off one stride
+pass, a sampled task trial-divides its own primes), _candidate_tables scans
+its candidate tables together, _SCAN_CHUNK at a time, with the int64 modpow
+kernel, and each row is built from its table, with the constructions run
+once per distinct (r, masks) in one memo per task and the anatomy read
+without a record, from one table of l constants per survey.
 SurveyRow, like FieldSpec and CandidateTable, is a frozen slotted dataclass
 whose one __init__ is modcore._frozen_init's, so rows, their CSV and JSON
 readers and dataclasses.replace build records through the same code.
@@ -21,6 +21,7 @@ survey_row keeps no memo of constructions, so it stays the oracle.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -40,14 +41,15 @@ from .genset import (
     greedy_block_generating_set,
 )
 from .modcore import FieldSpec, _frozen_init, field_spec
-from .sievelab import _divisor_runs, _one_mod_counts, _p_minus_one_blocks, p_minus_one_divisors, primes_upto
+from .sievelab import (
+    _SEGMENT_SPAN, _divisor_runs, _odd_count, _one_mod_counts, _p_minus_one_blocks, p_minus_one_divisors, primes_upto
+)
 
 # Meissel-Mertens constant: sum_{p<=T} 1/p = ln ln T + M + o(1).
 MEISSEL_MERTENS = 0.26149721284764278
 
-# A survey task is at most this many primes, factored and scanned together.
-# With threads > 1 a task is smaller where the survey is too short to give
-# each worker about eight tasks.
+# A survey task's rows are built this many primes at a time, their candidate
+# tables scanned together; it also sizes the tasks under threads > 1.
 _SCAN_CHUNK = 1024
 
 
@@ -97,22 +99,30 @@ def survey_row(p: int, l_values=(2.0, 3.0), policy: SearchPolicy = SearchPolicy(
     return _row(field, table, ls, _constructions(table))
 
 
-def _chunk_rows(divisors, ls, policy, memo) -> list[SurveyRow]:
-    """The rows of a chunk of primes: divisors() yields each (p, divisors of
-    p - 1), FieldSpec checks each p with its divisors, then the chunk's
-    candidate tables are scanned together; ls is the survey's _l_table.  The
-    constructions run once per distinct (r, mask sequence) in memo, a dict
-    that survey shares among its serial chunks: the masks are keyed 2..stop
-    in order, so that key fixes every element, and a memo hit gives the
-    same rows as a fresh run."""
-    fields = [FieldSpec(p, d) for p, d in divisors()]
-    rows = []
-    for f, t in zip(fields, _candidate_tables(fields, policy)):
-        key = (f.r, *t.masks.values())
-        if key not in memo:
-            memo[key] = _constructions(t)
-        rows.append(_row(f, t, ls, memo[key]))
+def _chunk_rows(divisors, ls, policy) -> list[SurveyRow]:
+    """The rows of a survey task, whose divisors() yields each (p, divisors of
+    p - 1): FieldSpec checks each p with its divisors, _SCAN_CHUNK at a time,
+    and each chunk's candidate tables are scanned together; ls is the
+    survey's _l_table.  The constructions run once per distinct (r, mask
+    sequence) in the task's memo: the masks are keyed 2..stop in order, so
+    that key fixes every element, and a hit gives the rows a fresh run would."""
+    runs, memo, rows = divisors(), {}, []
+    while fields := [FieldSpec(p, d) for p, d in itertools.islice(runs, _SCAN_CHUNK)]:
+        for f, t in zip(fields, _candidate_tables(fields, policy)):
+            key = (f.r, *t.masks.values())
+            if key not in memo:
+                memo[key] = _constructions(t)
+            rows.append(_row(f, t, ls, memo[key]))
     return rows
+
+
+def _window(p_min, p_max):
+    """Yield (p, divisors of p - 1) for each odd prime p of [p_min, p_max] off
+    the stride pass over that window alone.  A survey window is one sieve
+    block at most, so listing its blocks first frees the pass's temporaries
+    and the sieve's buffer before the window's rows are built."""
+    for block in list(_p_minus_one_blocks(p_min, p_max)):
+        yield from _divisor_runs(*block)
 
 
 def _constructions(table: CandidateTable):
@@ -148,19 +158,17 @@ def survey(
 
     With sample=k, every ceil(n/k)-th prime of the range is taken, starting
     from the first.  Rows come back in ascending p regardless of threads.
-    Sieves [0, p_max], so p_max over the sieve cap raises ResourceLimitError.
-    Unsampled, the sieve is sievelab._p_minus_one_blocks, which factors every
-    p - 1 of the range in one stride pass; sampled, it lists every prime up
-    to p_max, and each task factors its own p - 1 by p_minus_one_divisors.
-    The selected primes are cut once into tasks of _SCAN_CHUNK primes, or
-    with threads > 1 fewer where that gives each worker about eight tasks;
-    an unsampled task carries its stretch of the pass's arrays.  With
-    threads > 1 the pool starts no more workers than there are tasks.  Each
-    task, in a pool worker when threads > 1, builds its divisor tuples, so no
-    row factorizes and each FieldSpec still checks its divisors; then
-    genset._candidate_tables scans its tables together and its rows are built.
-    The constructions memo is one dict for the whole survey; with threads > 1
-    each task is pickled with its own empty copy of it.
+    p_max over the sieve cap raises ResourceLimitError before any work.
+    A task yields (p, divisors of p - 1) for its own stretch, so no row
+    factorizes, and _chunk_rows builds its rows; with threads > 1 and two
+    tasks or more, in a pool of no more workers than tasks.  Unsampled, a
+    task is a window that sieves and factors itself by _p_minus_one_blocks:
+    one sieve block (2 * _SEGMENT_SPAN integers) wide, or with threads > 1
+    narrower where that gives each worker about eight, but no narrower than
+    2 * _SCAN_CHUNK.  Sampled, every prime up to p_max is listed, and a task
+    factors its primes by p_minus_one_divisors: all in one task, or with
+    threads > 1 at most _SCAN_CHUNK, fewer where that gives each worker
+    about eight tasks.
     """
     if p_min < 3:
         raise ValueError(f"p_min must be >= 3, got {p_min}")
@@ -172,29 +180,20 @@ def survey(
     if p_max < p_min:
         return []
     if sample is None:
-        arrays = [np.concatenate(parts) for parts in zip(*_p_minus_one_blocks(p_min, p_max))]
-        primes, counts, q, alpha = arrays or [np.empty(0, dtype=np.int64)] * 4
-        ends = np.concatenate(([0], np.cumsum(counts)))
-
-        def task(lo, hi):
-            pairs = slice(ends[lo], ends[hi])
-            return partial(_divisor_runs, primes[lo:hi], counts[lo:hi], q[pairs], alpha[pairs])
-
+        _odd_count(p_max)  # refuses p_max past the sieve cap before any task is cut
+        width = math.ceil((p_max - p_min + 1) / (threads * 8))
+        width = 2 * _SEGMENT_SPAN if threads == 1 else min(max(width, 2 * _SCAN_CHUNK), 2 * _SEGMENT_SPAN)
+        tasks = [partial(_window, lo, min(lo + width - 1, p_max)) for lo in range(p_min, p_max + 1, width)]
     else:
         primes = primes_upto(p_max)
         primes = primes[np.searchsorted(primes, p_min) :]
         primes = primes[:: max(1, math.ceil(primes.size / sample))]
-
-        def task(lo, hi):
-            return partial(p_minus_one_divisors, primes[lo:hi])
-
-    if primes.size == 0:
-        return []
-    size = _SCAN_CHUNK if threads == 1 else min(_SCAN_CHUNK, math.ceil(primes.size / (threads * 8)))
-    tasks = [task(lo, min(lo + size, primes.size)) for lo in range(0, primes.size, size)]
-    worker = partial(_chunk_rows, ls=ls, policy=policy, memo={})
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+        size = min(_SCAN_CHUNK, math.ceil(primes.size / (threads * 8))) if threads > 1 else primes.size
+        tasks = [partial(p_minus_one_divisors, primes[lo : lo + size]) for lo in range(0, primes.size, max(size, 1))]
+    worker = partial(_chunk_rows, ls=ls, policy=policy)
+    workers = min(threads, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return [row for rows in pool.map(worker, tasks) for row in rows]
     return [row for rows in map(worker, tasks) for row in rows]
 

@@ -9,16 +9,16 @@ larger ones divide; the inclusion-exclusion prediction
 x * prod_{p not in P} (1 - 1/p) and the harmonic hypothesis sum are
 evaluated from the same split, a chunk at a time.
 Every sieve is one private generator, _odd_blocks, which keeps one flag per
-odd number, strikes them one _SEGMENT_SPAN block at a time and refuses limits
-over SIEVE_LIMIT; its base primes come from itself, run to sqrt(limit).  No
-other module reads its blocks.  primes_upto and the split stream them through
-one collector, psi_count strikes its own, and _one_mod_counts counts the
-primes p = 1 mod q for density_experiment, so none holds an x-sized flag
-array; only prime_flags copies them into one, and modcore.is_prime keeps
-that copy below 2**17 as its table.  Two sources factor p - 1 for
-many primes at once, with the same (p, divisors) contract.
-_p_minus_one_blocks reads every divisor of every p - 1 in a range off the
-sieve's blocks by strides, and is an unsampled survey's source.
+odd number, strikes them one _SEGMENT_SPAN block at a time from any start
+and refuses limits over SIEVE_LIMIT; its base primes come from itself, run
+to sqrt(limit).  No other module reads its blocks.  primes_upto and the
+split stream them through one collector, psi_count strikes its own, and
+_one_mod_counts counts the primes p = 1 mod q for density_experiment, so
+none holds an x-sized flag array; only prime_flags copies them into one, and
+modcore.is_prime keeps that copy below 2**17 as its table.  Two sources
+factor p - 1 for many primes at once, with the same (p, divisors) contract.
+_p_minus_one_blocks sieves only [p_min, p_max] and reads every divisor of
+every p - 1 there off its blocks by strides: an unsampled survey window's.
 p_minus_one_divisors trial-divides a given list of primes, and is a sampled
 survey's, which would otherwise factor every prime below p_max.
 """
@@ -67,9 +67,10 @@ def _odd_count(limit: int) -> int:
     return (limit + 1) // 2
 
 
-def _odd_blocks(limit: int, outside=None):
+def _odd_blocks(limit: int, outside=None, begin: int = 0):
     """Sieve the odd n <= limit one _SEGMENT_SPAN block of flags at a time
-    (index i <-> n = 2i + 1) and yield (lo, block), lo the block's first index.
+    (index i <-> n = 2i + 1), from index begin on, and yield (lo, block), lo
+    the block's first index.
 
     With outside None this is the prime sieve: every odd prime p <= sqrt(limit)
     strikes its odd multiples from p * p, so p keeps its flag, and 1 is struck.
@@ -91,7 +92,7 @@ def _odd_blocks(limit: int, outside=None):
     buf = np.empty(min(n, _SEGMENT_SPAN), dtype=bool)
 
     def blocks():
-        for lo in range(0, n, _SEGMENT_SPAN):
+        for lo in range(begin, n, _SEGMENT_SPAN):
             block = buf[: n - lo]
             block[:] = True
             if lo == 0 and outside is None:
@@ -204,30 +205,25 @@ def p_minus_one_divisors(primes):
 
 def _p_minus_one_blocks(p_min: int, p_max: int):
     """Factor p - 1 for every odd prime p in [p_min, p_max] in one stride pass
-    over the sieve's blocks.  Yield per block (primes, counts, q, alpha): its
-    primes from p_min on (int64) and their pairs (q int32, alpha int8),
-    counts[0] (int8) for primes[0] and so on, q increasing within each
-    prime's run: FieldSpec's divisors.
+    over the sieve's blocks, which start at p_min's index, so no block below
+    p_min is sieved.  Yield per block (primes, counts, q, alpha): its primes
+    (int64) and their pairs (q int32, alpha int8), counts[0] (int8) for
+    primes[0] and so on, q increasing within each prime's run: FieldSpec's
+    divisors.
 
     Index i stands for p = 2i + 1, so p - 1 = 2i: q = 2 pairs with every p,
     with alpha = 1 + v2(i).  An odd q <= sqrt(p_max - 1) divides p - 1 iff it
     divides i, at the flagged indices of stride q from (-lo) mod q; those of
     stride q**k give alpha, and q**alpha is divided out of a residual copy of
     i there.  A residual above 1 is the one prime factor above the bound.  No
-    division is made by a q that does not divide, and blocks wholly below
-    p_min are sieved but not divided.  The limit is checked at the call,
-    before any allocation, as _odd_blocks checks it.
+    division is made by a q that does not divide.  The limit is checked at
+    the call, before any allocation, as _odd_blocks checks it.
     """
-    blocks = _odd_blocks(p_max)
+    blocks = _odd_blocks(p_max, begin=p_min // 2)  # p = 2i + 1 >= p_min iff i >= p_min // 2
     odd_qs = primes_upto(math.isqrt(max(p_max - 1, 0)))[1:].tolist()
-    first = p_min // 2  # the index of the least odd n >= p_min
 
     def factored():
         for lo, block in blocks:
-            if first >= lo + block.size:
-                continue
-            if first > lo:
-                block, lo = block[first - lo :], first
             rank = np.cumsum(block, dtype=np.int32) - 1  # a flagged index's place among the primes
 
             def hits(m):  # the places of the primes whose i is a multiple of m
@@ -270,13 +266,12 @@ def _p_minus_one_blocks(p_min: int, p_max: int):
 
 def _divisor_runs(primes, counts, q, alpha):
     """Yield (p, divisors) for each p in primes, in order, as p_minus_one_divisors
-    does, from a stretch of _p_minus_one_blocks' arrays: p's pairs are the
-    next counts of (q, alpha)."""
-    pairs = list(zip(q.tolist(), alpha.tolist()))
-    end = 0
-    for p, count in zip(primes.tolist(), counts.tolist()):
-        start, end = end, end + count
-        yield p, tuple(pairs[start:end])
+    does, from one block of _p_minus_one_blocks' arrays: p's pairs are the
+    next counts of (q, alpha).  A memoryview iterates an array as Python
+    ints, one at a time, so no list of the block's ints is held."""
+    pairs = zip(memoryview(q), memoryview(alpha))
+    for p, count in zip(memoryview(primes), memoryview(counts)):
+        yield p, tuple(itertools.islice(pairs, count))
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,8 @@ def test_omega_l_examples():
     assert omega_l(6, 1) == 0  # threshold ln 7 ~ 1.946 < 2
     assert omega_l(6, 2) == 2  # threshold 4 ln 7 ~ 7.78 >= 3
     assert math.isclose(smallness_threshold(6, 2), 4 * math.log(7))
+    with pytest.raises(ValueError):
+        smallness_threshold(0, 2)
 
 
 def test_omega_l_saturates():

@@ -130,7 +130,9 @@ def test_survey_takes_divisors_from_one_source(monkeypatch):
 
 def test_survey_starts_no_more_workers_than_tasks(monkeypatch, rows_50):
     # A fake pool records max_workers and maps serially, so no process
-    # starts: 10**5 threads over 3..50 cut 14 primes into 14 one-prime tasks.
+    # starts.  Unsampled, 3..50 is one window, so no pool starts at all;
+    # sampled, 10**5 threads cut its 14 primes into 14 one-prime tasks; and
+    # two threads cut 3..10000 into five windows of 2 * _SCAN_CHUNK integers.
     started = []
 
     class SerialPool:
@@ -148,6 +150,8 @@ def test_survey_starts_no_more_workers_than_tasks(monkeypatch, rows_50):
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
     assert survey(3, 50, threads=10**5) == rows_50
+    assert started == []
+    assert survey(3, 50, sample=50, threads=10**5) == rows_50
     assert survey(3, 10_000, threads=2) == survey(3, 10_000)
     assert started == [len(rows_50), 2]
 

@@ -91,7 +91,8 @@ def test_stride_pass_matches_p_minus_one_divisors():
 
 
 def test_stride_pass_edges():
-    # p_min inside the second block: the first is sieved but yields nothing.
+    # p_min inside the second block of [0, p_max]: the pass starts at p_min's
+    # index, so it sieves one block, and none below p_min.
     span = sievelab._SEGMENT_SPAN
     p_min, p_max = 2 * span + 5001, 2 * span + 20_000
     assert len(list(sievelab._p_minus_one_blocks(p_min, p_max))) == 1
@@ -102,6 +103,42 @@ def test_stride_pass_edges():
     for p_max in (0, 1, 2):
         assert stride_pass(2, p_max) == []
     assert [r.p for r in survey(3, 5)] == [3, 5]
+
+
+def test_stride_pass_windows_match_p_minus_one_divisors():
+    # Windows that hold their own base primes (3, 5 and 7 below 50), whose
+    # first index is a base prime's first strike (25 = 5 * 5, 49 = 7 * 7),
+    # that sit inside the first block or start mid-block, and one wider than
+    # a block at an odd offset, which the pass sieves in three blocks.
+    span = sievelab._SEGMENT_SPAN
+    wide = (777_777, 777_777 + 4 * span + 12_345)
+    primes = primes_upto(wide[1])[1:]
+    windows = [(3, 50), (25, 130), (49, 200), (1000, 1100)]
+    windows += [(span + 1, span + 3001), (3 * span + 777, 3 * span + 60_000), wide]
+    for p_min, p_max in windows:
+        inside = primes[(primes >= p_min) & (primes <= p_max)]
+        assert stride_pass(p_min, p_max) == list(p_minus_one_divisors(inside)), (p_min, p_max)
+    starts = [lo for lo, _ in sievelab._odd_blocks(wide[1], begin=wide[0] // 2)]
+    assert starts == [wide[0] // 2 + k * span for k in range(3)]
+    assert len(list(sievelab._p_minus_one_blocks(*wide))) == 3
+
+
+def test_survey_sieves_from_p_min(monkeypatch):
+    # An unsampled survey near the cap sieves [p_min, p_max] alone: the only
+    # sieve to p_max starts at p_min's index, and no other reaches p_min.
+    p_min, p_max = 10**8 - 2 * 10**5, 10**8
+    sieved = []
+    odd_blocks = sievelab._odd_blocks
+
+    def spy(limit, outside=None, begin=0):
+        for lo, block in odd_blocks(limit, outside, begin):
+            sieved.append((limit, begin, lo))
+            yield lo, block
+
+    monkeypatch.setattr(sievelab, "_odd_blocks", spy)
+    assert [r.p for r in survey(p_min, p_max)] == [n for n in range(p_min + 1, p_max, 2) if is_prime(n)]
+    assert [(begin, lo) for limit, begin, lo in sieved if limit == p_max] == [(p_min // 2, p_min // 2)]
+    assert max(limit for limit, _, _ in sieved if limit != p_max) < p_min
 
 
 def test_stride_pass_refuses_past_the_cap_when_called(monkeypatch):
@@ -168,6 +205,8 @@ def test_explicit_set_validation():
         PrimeSetSpec(x=0, kind="explicit", members=())
     spec = PrimeSetSpec.explicit(30, [5, 2, 3, 101])  # 101 > x is dropped
     assert spec.realize().tolist() == [2, 3, 5]
+    with pytest.raises(ValueError, match="unknown prime set kind"):
+        PrimeSetSpec(x=10, kind="bogus").realize()
 
 
 def test_residue_set_members_are_residues():
@@ -534,6 +573,15 @@ def test_rho_domain():
         dickman_rho(-0.1)
     with pytest.raises(ValueError):
         dickman_rho(20.5)
+    with pytest.raises(ValueError):
+        dickman_rho(20 + 1e-9)
+
+
+def test_rho_at_the_top_of_its_domain():
+    # u = 20 reads the last grid point of the last block.
+    top = dickman_rho(20.0)
+    assert top > 0
+    assert math.isclose(top, dickman_rho(20 - 1e-9), rel_tol=1e-6)
 
 
 def test_rho_against_frozen_oracle():
