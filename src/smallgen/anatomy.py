@@ -52,19 +52,17 @@ class AnatomyRecord:
     bounds: dict[float, float]
 
 
-def anatomy_record(n: int, l_values, factors=None) -> AnatomyRecord:
+def anatomy_record(n: int, l_values) -> AnatomyRecord:
     """Evaluate omega, omega_l(n, l) and the bound shape for each requested l.
 
-    factors, if given, is the factorization of n as (prime, multiplicity)
-    pairs in any order, e.g. FieldSpec.divisors for n = p - 1; it is then
-    not recomputed.  Each l is checked, and its l**l and ln l computed,
-    before n is factored; ln(n + 1) is taken once for every l.
+    Each l is checked, and its l**l and ln l computed, before n is factored;
+    ln(n + 1) is taken once for every l.  Survey rows skip the record and
+    call _anatomy with the factors they already hold.
     """
     if n < 1:
         raise ValueError(f"anatomy requires n >= 1, got {n}")
     ls = _l_table(l_values)
-    factors = (factorize(n) if n > 1 else []) if factors is None else sorted(factors)
-    return AnatomyRecord(n, *_anatomy(n, ls, factors))
+    return AnatomyRecord(n, *_anatomy(n, ls, factorize(n)))
 
 
 def _anatomy(n: int, ls, factors):

@@ -18,9 +18,7 @@ fixed templates and generated names; every dict key and type it needs is
 bound in its namespace, so no data is ever part of the source.  Element
 lists repeat across rows, so each call's function also holds one dict per
 tuple column: a distinct cell is parsed, or a distinct int tuple formatted,
-once per call.  Since the source holds no data, its compiled code is cached
-by the source text; each call still evaluates it in a fresh namespace, so
-those dicts stay per call.
+once per call.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ import itertools
 import json
 import math
 import typing
-from functools import cache, lru_cache
+from functools import cache
 
 
 def _is_record(tp) -> bool:
@@ -158,12 +156,6 @@ def _parse(tp, v: str, env: dict) -> str:
     return f"{_bind(env, tp)}({v})"
 
 
-@lru_cache(maxsize=64)
-def _compiled(source: str):
-    """The code of a generated lambda; source holds no data, so it is shared by every call."""
-    return compile(source, "<codec>", "eval")
-
-
 def _quote(cell: str, lone: bool = False) -> str:
     """cell as csv.writer (QUOTE_MINIMAL) writes it: quoted, its quotes doubled,
     where it holds , " CR or LF; "" where it is empty and its record's lone cell."""
@@ -200,7 +192,7 @@ def to_csv(rows) -> str:
     for tp, v in cells:
         cell = _cell(tp, v, env)  # cell sources hold no ' and no braces
         fields.append(f"{{_quote({cell}, {lone})}}" if lone or _holds_text(tp) else f"{{{cell}}}")
-    encode = eval(_compiled(f"lambda row: f'{','.join(fields)}\\r\\n'"), env)
+    encode = eval(f"lambda row: f'{','.join(fields)}\\r\\n'", env)
     buf = io.StringIO()  # one line at a time: no list of every line
     buf.write(",".join(_quote(h, lone) for h in header) + "\r\n")
     buf.writelines(map(encode, rows))
@@ -240,5 +232,5 @@ def from_csv(cls, text: str) -> list:
         else:
             args.append(_parse(tp, f"h{index[column]}", env))
     params = ", ".join(f"h{i}" for i in range(len(header)))
-    decode = eval(_compiled(f"lambda {params}: cls({', '.join(args)})"), env)
+    decode = eval(f"lambda {params}: cls({', '.join(args)})", env)
     return list(itertools.starmap(decode, reader))

@@ -3,9 +3,10 @@
 Rows are pure functions of their prime, so surveys may fan out over a process
 pool; results are always merged in ascending-p order and serialized with fixed
 formatting, making output bytes independent of the parallelism degree.  A
-survey task is one stretch of the range, handled end to end: its p - 1 come
-factored (an unsampled window sieves itself and reads them off one stride
-pass, a sampled task trial-divides its own primes), _candidate_tables scans
+survey task is one sievelab call bound to a stretch of the range, which
+yields each p with p - 1 factored (_p_minus_one_blocks sieves an unsampled
+window and reads them off one stride pass, p_minus_one_divisors
+trial-divides a sampled task's primes), and _candidate_tables scans
 its candidate tables together, _SCAN_CHUNK at a time, with the int64 modpow
 kernel, and each row is built from its table, with the constructions run
 once per distinct (r, masks) in one memo per task and the anatomy read
@@ -41,9 +42,7 @@ from .genset import (
     greedy_block_generating_set,
 )
 from .modcore import FieldSpec, _frozen_init, field_spec
-from .sievelab import (
-    _SEGMENT_SPAN, _divisor_runs, _odd_count, _one_mod_counts, _p_minus_one_blocks, p_minus_one_divisors, primes_upto
-)
+from .sievelab import _SEGMENT_SPAN, _odd_count, _one_mod_counts, _p_minus_one_blocks, p_minus_one_divisors, primes_upto
 
 # Meissel-Mertens constant: sum_{p<=T} 1/p = ln ln T + M + o(1).
 MEISSEL_MERTENS = 0.26149721284764278
@@ -116,15 +115,6 @@ def _chunk_rows(divisors, ls, policy) -> list[SurveyRow]:
     return rows
 
 
-def _window(p_min, p_max):
-    """Yield (p, divisors of p - 1) for each odd prime p of [p_min, p_max] off
-    the stride pass over that window alone.  A survey window is one sieve
-    block at most, so listing its blocks first frees the pass's temporaries
-    and the sieve's buffer before the window's rows are built."""
-    for block in list(_p_minus_one_blocks(p_min, p_max)):
-        yield from _divisor_runs(*block)
-
-
 def _constructions(table: CandidateTable):
     """(exact, sorted greedy, elementary) elements of one table."""
     return (
@@ -183,7 +173,7 @@ def survey(
         _odd_count(p_max)  # refuses p_max past the sieve cap before any task is cut
         width = math.ceil((p_max - p_min + 1) / (threads * 8))
         width = 2 * _SEGMENT_SPAN if threads == 1 else min(max(width, 2 * _SCAN_CHUNK), 2 * _SEGMENT_SPAN)
-        tasks = [partial(_window, lo, min(lo + width - 1, p_max)) for lo in range(p_min, p_max + 1, width)]
+        tasks = [partial(_p_minus_one_blocks, lo, min(lo + width - 1, p_max)) for lo in range(p_min, p_max + 1, width)]
     else:
         primes = primes_upto(p_max)
         primes = primes[np.searchsorted(primes, p_min) :]

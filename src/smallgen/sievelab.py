@@ -16,11 +16,12 @@ split stream them through one collector, psi_count strikes its own, and
 _one_mod_counts counts the primes p = 1 mod q for density_experiment, so
 none holds an x-sized flag array; only prime_flags copies them into one, and
 modcore.is_prime keeps that copy below 2**17 as its table.  Two sources
-factor p - 1 for many primes at once, with the same (p, divisors) contract.
-_p_minus_one_blocks sieves only [p_min, p_max] and reads every divisor of
-every p - 1 there off its blocks by strides: an unsampled survey window's.
-p_minus_one_divisors trial-divides a given list of primes, and is a sampled
-survey's, which would otherwise factor every prime below p_max.
+factor p - 1 for many primes at once and yield (p, divisors), so no caller
+sees their arrays.  _p_minus_one_blocks sieves only [p_min, p_max] and reads
+every divisor of every p - 1 there off its blocks by strides, a block at a
+time: an unsampled survey window's.  p_minus_one_divisors trial-divides a
+given list of primes, and is a sampled survey's, which would otherwise
+factor every prime below p_max.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .modcore import _POW_MOD_MAX, FieldSpec, _pow_mod, is_prime
 
-SIEVE_LIMIT = 10**8  # one flag per odd integer: about 50 MB at the cap
+SIEVE_LIMIT = 10**8  # only prime_flags holds its 50 MB of odd flags; other sieves stream 1 MiB blocks
 
 # 1 MiB of odd flags per segment (2 MiB of integers) fits a core's L2 cache.
 # On a 2-vCPU Xeon VM with 2 MiB of L2 per core, prime_flags(1e8) took a
@@ -204,12 +205,13 @@ def p_minus_one_divisors(primes):
 
 
 def _p_minus_one_blocks(p_min: int, p_max: int):
-    """Factor p - 1 for every odd prime p in [p_min, p_max] in one stride pass
-    over the sieve's blocks, which start at p_min's index, so no block below
-    p_min is sieved.  Yield per block (primes, counts, q, alpha): its primes
-    (int64) and their pairs (q int32, alpha int8), counts[0] (int8) for
-    primes[0] and so on, q increasing within each prime's run: FieldSpec's
-    divisors.
+    """Yield (p, divisors) for each odd prime p in [p_min, p_max], in order, as
+    p_minus_one_divisors does, factoring p - 1 in one stride pass over the
+    sieve's blocks, which start at p_min's index, so no block below p_min is
+    sieved.  Per block, its primes (int64) and their pairs (q int32, alpha
+    int8), counts[0] (int8) for primes[0] and so on, are built and the
+    block's temporaries freed before _divisor_runs yields its runs, since a
+    caller builds its rows while the pass is suspended.
 
     Index i stands for p = 2i + 1, so p - 1 = 2i: q = 2 pairs with every p,
     with alpha = 1 + v2(i).  An odd q <= sqrt(p_max - 1) divides p - 1 iff it
@@ -259,16 +261,18 @@ def _p_minus_one_blocks(p_min: int, p_max: int):
             big = np.flatnonzero(residual > 1)
             put(big, residual[big], 1)
             filled = np.arange(8) < counts[:, None]
-            yield 2 * i + 1, counts, q_slots[filled], alpha_slots[filled]
+            q, alpha = q_slots[filled], alpha_slots[filled]
+            del rank, q_slots, alpha_slots, residual, filled
+            yield from _divisor_runs(2 * i + 1, counts, q, alpha)
 
     return factored()
 
 
 def _divisor_runs(primes, counts, q, alpha):
-    """Yield (p, divisors) for each p in primes, in order, as p_minus_one_divisors
-    does, from one block of _p_minus_one_blocks' arrays: p's pairs are the
-    next counts of (q, alpha).  A memoryview iterates an array as Python
-    ints, one at a time, so no list of the block's ints is held."""
+    """Yield (p, divisors) for each p in primes, in order, from one block of
+    _p_minus_one_blocks' arrays: p's pairs are the next counts of (q, alpha).
+    A memoryview iterates an array as Python ints, one at a time, so no list
+    of the block's ints is held."""
     pairs = zip(memoryview(q), memoryview(alpha))
     for p, count in zip(memoryview(primes), memoryview(counts)):
         yield p, tuple(itertools.islice(pairs, count))
@@ -511,10 +515,8 @@ def _rho_blocks() -> tuple[np.ndarray, ...]:
 
 def dickman_rho(u: float) -> float:
     """Dickman rho: the density of x**(1/u)-smooth integers below x."""
-    if u < 0:
-        raise ValueError(f"dickman_rho requires u >= 0, got {u}")
-    if u > _RHO_UMAX:
-        raise ValueError(f"dickman_rho supports u <= {_RHO_UMAX}, got {u}")
+    if not 0 <= u <= _RHO_UMAX:  # nan fails it too
+        raise ValueError(f"dickman_rho requires 0 <= u <= {_RHO_UMAX}, got {u}")
     if u <= 1.0:
         return 1.0
     if u <= 2.0:
@@ -523,9 +525,7 @@ def dickman_rho(u: float) -> float:
     k = min(int(math.floor(u)), _RHO_UMAX - 1)
     arr = blocks[k]
     frac = (u - k) * _RHO_STEPS
-    j = int(math.floor(frac))
-    if j >= _RHO_STEPS:
-        return float(arr[_RHO_STEPS])
+    j = min(int(frac), _RHO_STEPS - 1)  # u = 20 gives w = 1, the last grid point
     w = frac - j
     return float(arr[j] * (1.0 - w) + arr[j + 1] * w)
 

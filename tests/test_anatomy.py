@@ -94,18 +94,6 @@ def test_anatomy_record_floats_match_threshold_and_bound():
     assert saw_inf
 
 
-def test_anatomy_record_sorts_supplied_factors():
-    # _anatomy stops counting at the first q above a cutoff, so it needs q
-    # ascending; anatomy_record takes factors in any order.
-    ls = (1, 2, 3, 150)
-    for n in (12, 720720, 10**6 - 1, 2**61 - 2):
-        factors = factorize(n)
-        want = anatomy_record(n, ls, factors)
-        assert anatomy_record(n, ls, factors[::-1]) == want
-        assert anatomy_record(n, ls, tuple(factors[1:] + factors[:1])) == want
-        assert want == anatomy_record(n, ls)
-
-
 def test_anatomy_record_keeps_its_checks():
     with pytest.raises(ValueError, match="anatomy requires n >= 1"):
         anatomy_record(0, [2.0])

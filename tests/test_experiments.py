@@ -211,7 +211,7 @@ def test_survey_row_scans_once(monkeypatch):
 
 
 def test_survey_row_factorizes_once(monkeypatch):
-    # field_spec factorizes p - 1 and anatomy_record reuses field.divisors.
+    # field_spec factorizes p - 1 and the row's anatomy reuses field.divisors.
     factored = []
     factorize = modcore.factorize
 

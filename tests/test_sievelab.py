@@ -77,7 +77,25 @@ def test_p_minus_one_divisors_edges():
 
 def stride_pass(p_min, p_max):
     """(p, divisors) for the odd primes of [p_min, p_max], from the stride pass."""
-    return [pair for block in sievelab._p_minus_one_blocks(p_min, p_max) for pair in sievelab._divisor_runs(*block)]
+    return list(sievelab._p_minus_one_blocks(p_min, p_max))
+
+
+def block_starts(monkeypatch, p_min, p_max):
+    """The first indices of the blocks that the stride pass over [p_min, p_max]
+    asks of the sieve to p_max, by a spy on _odd_blocks."""
+    starts = []
+    odd_blocks = sievelab._odd_blocks
+
+    def spy(limit, outside=None, begin=0):
+        for lo, block in odd_blocks(limit, outside, begin):
+            if limit == p_max:
+                starts.append(lo)
+            yield lo, block
+
+    with monkeypatch.context() as m:
+        m.setattr(sievelab, "_odd_blocks", spy)
+        stride_pass(p_min, p_max)
+    return starts
 
 
 def test_stride_pass_matches_p_minus_one_divisors():
@@ -90,12 +108,12 @@ def test_stride_pass_matches_p_minus_one_divisors():
     assert stride_pass(lo, hi) == list(p_minus_one_divisors(window))
 
 
-def test_stride_pass_edges():
+def test_stride_pass_edges(monkeypatch):
     # p_min inside the second block of [0, p_max]: the pass starts at p_min's
     # index, so it sieves one block, and none below p_min.
     span = sievelab._SEGMENT_SPAN
     p_min, p_max = 2 * span + 5001, 2 * span + 20_000
-    assert len(list(sievelab._p_minus_one_blocks(p_min, p_max))) == 1
+    assert block_starts(monkeypatch, p_min, p_max) == [p_min // 2]
     primes = primes_upto(p_max)
     assert stride_pass(p_min, p_max) == list(p_minus_one_divisors(primes[np.searchsorted(primes, p_min) :]))
     assert stride_pass(90, 100) == [(97, ((2, 5), (3, 1)))]
@@ -105,7 +123,7 @@ def test_stride_pass_edges():
     assert [r.p for r in survey(3, 5)] == [3, 5]
 
 
-def test_stride_pass_windows_match_p_minus_one_divisors():
+def test_stride_pass_windows_match_p_minus_one_divisors(monkeypatch):
     # Windows that hold their own base primes (3, 5 and 7 below 50), whose
     # first index is a base prime's first strike (25 = 5 * 5, 49 = 7 * 7),
     # that sit inside the first block or start mid-block, and one wider than
@@ -120,7 +138,7 @@ def test_stride_pass_windows_match_p_minus_one_divisors():
         assert stride_pass(p_min, p_max) == list(p_minus_one_divisors(inside)), (p_min, p_max)
     starts = [lo for lo, _ in sievelab._odd_blocks(wide[1], begin=wide[0] // 2)]
     assert starts == [wide[0] // 2 + k * span for k in range(3)]
-    assert len(list(sievelab._p_minus_one_blocks(*wide))) == 3
+    assert block_starts(monkeypatch, *wide) == starts
 
 
 def test_survey_sieves_from_p_min(monkeypatch):
@@ -575,12 +593,18 @@ def test_rho_domain():
         dickman_rho(20.5)
     with pytest.raises(ValueError):
         dickman_rho(20 + 1e-9)
+    # nan fails the domain check before the table is built.
+    sievelab._rho_blocks.cache_clear()
+    with pytest.raises(ValueError, match="dickman_rho requires 0 <= u <= 20"):
+        dickman_rho(math.nan)
+    assert sievelab._rho_blocks.cache_info().currsize == 0
 
 
 def test_rho_at_the_top_of_its_domain():
     # u = 20 reads the last grid point of the last block.
     top = dickman_rho(20.0)
     assert top > 0
+    assert top == float(sievelab._rho_blocks()[19][-1])
     assert math.isclose(top, dickman_rho(20 - 1e-9), rel_tol=1e-6)
 
 
