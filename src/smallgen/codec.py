@@ -6,19 +6,19 @@ written as str(k) for ints, and for floats as format(k, "g") where that reads
 back as k, else repr(k), in sorted order.  The JSON plan for each type is
 built once, so the loop over rows does no reflection.  A float that is not
 finite goes to JSON as the string "nan", "inf" or "-inf", its CSV spelling,
-so the text is strict JSON (RFC 8259).  Each to_csv and from_csv call
-generates one function that encodes or decodes a whole row, with eval as
-dataclasses and namedtuple do; to_csv's is one f-string that writes the
-row's CRLF line.  It quotes as csv.writer (QUOTE_MINIMAL) does: a cell that
-holds , " CR or LF goes in quotes with its quotes doubled, and a record's
-lone empty cell is written "".  No int, float or bool cell can need that, so
-only the header, text cells and a lone cell are looked at.  The source is
-made of field names (identifiers, as dataclasses and NamedTuple require),
-fixed templates and generated names; every dict key and type it needs is
-bound in its namespace, so no data is ever part of the source.  Element
-lists repeat across rows, so each call's function also holds one dict per
-tuple column: a distinct cell is parsed, or a distinct int tuple formatted,
-once per call.
+so the text is strict JSON (RFC 8259).  CSV cells are ints, floats, bools or
+tuples of one of them, and dict keys ints or floats, as in survey and
+density rows; none can hold a comma, a quote or a line end, so to_csv quotes
+nothing and refuses any other type with TypeError.  Both readers raise
+ValueError on text that lacks a field or a cell.  Each to_csv and from_csv
+call generates one function that encodes or decodes a whole row, with eval
+as dataclasses and namedtuple do; to_csv's is one f-string that writes the
+row's CRLF line.  The source is made of field names (identifiers, as
+dataclasses and NamedTuple require), fixed templates and generated names;
+every dict key and type it needs is bound in its namespace, so no data is
+ever part of the source.  Element lists repeat across rows, so each call's
+function also holds one dict per tuple column: a distinct cell is parsed,
+or a distinct int tuple formatted, once per call.
 """
 
 from __future__ import annotations
@@ -116,7 +116,10 @@ def from_json(cls, text: str):
     """
     data = json.loads(text)
     dec = _json_decoder(cls)
-    return [dec(obj) for obj in data] if isinstance(data, list) else dec(data)
+    try:
+        return [dec(obj) for obj in data] if isinstance(data, list) else dec(data)
+    except KeyError as exc:
+        raise ValueError(f"JSON object has no field {exc.args[0]!r}") from None
 
 
 def _bind(env: dict, value) -> str:
@@ -132,18 +135,21 @@ def _memo(v: str, compute: str, env: dict) -> str:
     return f"({memo}[{v}] if {v} in {memo} else {memo}.setdefault({v}, {compute}))"
 
 
+_CELLS = {int: "str({})", float: 'format({}, ".12g")', bool: '("true" if {} else "false")'}
+
+
 def _cell(tp, v: str, env: dict) -> str:
-    """Source of the CSV cell of the value expression v, which has type tp."""
-    if tp is bool:
-        return f'("true" if {v} else "false")'
-    if tp is float:
-        return f'format({v}, ".12g")'
-    if typing.get_origin(tp) is tuple:
-        item = typing.get_args(tp)[0]
-        cell = f'";".join([{_cell(item, "x", env)} for x in {v}])'
-        # Only int tuples: a float key would find the cell of 0.0 for -0.0.
-        return _memo(v, cell, env) if item is int else cell
-    return f"str({v})"
+    """Source of the CSV cell of the value expression v, which has type tp: a
+    key of _CELLS or a tuple[X, ...] of one, joined by ";"; else TypeError."""
+    tuple_of = typing.get_origin(tp) is tuple and typing.get_args(tp)[1:] == (...,)
+    item = typing.get_args(tp)[0] if tuple_of else tp
+    if item not in _CELLS:
+        raise TypeError(f"to_csv writes int, float and bool cells and tuples of one of them, not {tp!r}")
+    if not tuple_of:
+        return _CELLS[tp].format(v)
+    cell = f'";".join([{_CELLS[item].format("x")} for x in {v}])'
+    # Only int tuples: a float key would find the cell of 0.0 for -0.0.
+    return _memo(v, cell, env) if item is int else cell
 
 
 def _parse(tp, v: str, env: dict) -> str:
@@ -156,61 +162,45 @@ def _parse(tp, v: str, env: dict) -> str:
     return f"{_bind(env, tp)}({v})"
 
 
-def _quote(cell: str, lone: bool = False) -> str:
-    """cell as csv.writer (QUOTE_MINIMAL) writes it: quoted, its quotes doubled,
-    where it holds , " CR or LF; "" where it is empty and its record's lone cell."""
-    if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
-        return '"' + cell.replace('"', '""') + '"'
-    return '""' if lone and not cell else cell
-
-
 def to_csv(rows) -> str:
     """RFC-4180 CSV text (CRLF, header row) of records of one class; "" for no rows.
 
     A field's column is its name, or the "csv" name in its metadata.  A dict
     field has one column <column>_<key> per key of the first row.  Floats get
     12 significant digits, booleans are true/false, tuples are joined by ";".
-    One f-string per call, generated from the fields and those keys, writes a
-    row's CRLF line.  A header cell, a record's lone cell and a cell that can
-    hold text (of any type but int, float, bool or a tuple of them) go
-    through _quote, csv.writer's rule; no other cell can need quotes.
+    A cell of any other type, or a dict key that is not an int or a float,
+    raises TypeError before any row is written; no cell needs quotes.  One
+    f-string per call, generated from the fields and those keys, writes a
+    row's CRLF line.
     """
     if not rows:
         return ""
-    header, cells, env = [], [], {"_quote": _quote}
+    header, cells, env = [], [], {}
     for name, tp, column in _fields(type(rows[0])):
         if typing.get_origin(tp) is dict:
             key_type, value_type = typing.get_args(tp)
+            if key_type not in (int, float):
+                raise TypeError(f"to_csv writes dict keys of type int or float, not {key_type!r}")
             for k in sorted(getattr(rows[0], name)):
                 header.append(f"{column}_{_key(key_type)(k)}")
-                cells.append((value_type, f"row.{name}[{_bind(env, k)}]"))
+                cells.append(_cell(value_type, f"row.{name}[{_bind(env, k)}]", env))
         else:
             header.append(column)
-            cells.append((tp, f"row.{name}"))
-    lone = len(cells) == 1
-    fields = []
-    for tp, v in cells:
-        cell = _cell(tp, v, env)  # cell sources hold no ' and no braces
-        fields.append(f"{{_quote({cell}, {lone})}}" if lone or _holds_text(tp) else f"{{{cell}}}")
-    encode = eval(f"lambda row: f'{','.join(fields)}\\r\\n'", env)
+            cells.append(_cell(tp, f"row.{name}", env))
+    line = ",".join("{" + cell + "}" for cell in cells)  # cell sources hold no ' and no braces
+    encode = eval(f"lambda row: f'{line}\\r\\n'", env)
     buf = io.StringIO()  # one line at a time: no list of every line
-    buf.write(",".join(_quote(h, lone) for h in header) + "\r\n")
+    buf.write(",".join(header) + "\r\n")
     buf.writelines(map(encode, rows))
     return buf.getvalue()
-
-
-def _holds_text(tp) -> bool:
-    """Whether a cell of type tp can hold text, which may need quotes."""
-    if typing.get_origin(tp) is tuple:
-        tp = typing.get_args(tp)[0]
-    return tp not in (int, float, bool)
 
 
 def from_csv(cls, text: str) -> list:
     """Records of class cls from to_csv text; [] for empty text.
 
-    One decoder per call, generated from the fields and the header, takes a
-    row's cells as its arguments h0, h1, ... in header order.
+    csv.reader reads it, so quoted text from elsewhere reads too.  One decoder
+    per call, generated from the fields and the header, takes a row's cells
+    as its arguments h0, h1, ... in header order.
     """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
@@ -229,8 +219,13 @@ def from_csv(cls, text: str) -> list:
                 if h.startswith(prefix)
             ]
             args.append(f"{{{', '.join(items)}}}")
-        else:
+        elif column in index:
             args.append(_parse(tp, f"h{index[column]}", env))
+        else:
+            raise ValueError(f"CSV header has no column {column!r}")
     params = ", ".join(f"h{i}" for i in range(len(header)))
     decode = eval(f"lambda {params}: cls({', '.join(args)})", env)
-    return list(itertools.starmap(decode, reader))
+    try:
+        return list(itertools.starmap(decode, reader))
+    except TypeError:  # decode's arity: a row without one cell per column
+        raise ValueError(f"CSV line {reader.line_num} does not have the header's {len(header)} cells") from None

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from smallgen.anatomy import AnatomyRecord, DyadicSchedule
-from smallgen.cli import run
+from smallgen.cli import main, run
 from smallgen.codec import from_json
 from smallgen.experiments import DensityRow, SurveyRow
 from smallgen.genset import GenSetResult
@@ -82,6 +82,18 @@ def test_exit_codes(capsys):
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert named in captured.err, (argv, captured.err)
+
+
+def test_main_exits_with_the_code_of_run(monkeypatch, capsys):
+    # The installed smallgen script calls main(), which reads sys.argv.
+    for argv, code in (("genset --p 13", 0), ("genset --p 12", 2)):
+        monkeypatch.setattr("sys.argv", ["smallgen", *argv.split()])
+        with pytest.raises(SystemExit) as exit_:
+            main()
+        assert exit_.value.code == code, argv
+    captured = capsys.readouterr()
+    assert captured.out.startswith("p = 13  (p-1 = 2^2 * 3)\n")
+    assert captured.err == "error: p must be an odd prime, got 12\n"
 
 
 def test_huge_inputs_refused_before_factoring(monkeypatch, capsys):
@@ -297,6 +309,9 @@ OUTPUT_SHA256 = [
     ("survey --min 24 --max 28 --threads 1 --format csv", "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
     ("survey --min 24 --max 28 --threads 1 --format json", "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
     ("survey --min 24 --max 28 --threads 1 --format pretty", "2eb5e15637cc679c711c1f17b4126ef025af4ac969f109f9037e14abab4f3d6e"),
+    # Float keys that format(l, "g") cannot read back are written by repr,
+    # and l = 1 gives nan bound cells.
+    ("survey --min 3 --max 1000 --l 1,1.0000001,2.1234567 --threads 1", "757e4bc91e2e2d1f93d0c9f7bb1bfa0c2c8deee83fd8933ec71609407a15c073"),
 ]
 
 

@@ -1,6 +1,8 @@
 import csv
 import io
+import json
 import math
+import re
 import typing
 from dataclasses import dataclass
 
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from smallgen.anatomy import anatomy_record, dyadic_schedule
 from smallgen.codec import _fields, _key, from_csv, from_json, to_csv, to_json
-from smallgen.experiments import density_experiment, survey_row
+from smallgen.experiments import SurveyRow, density_experiment, survey_row
 from smallgen.genset import Certificate, candidate_table, certify
 from smallgen.modcore import field_spec
 from smallgen.sievelab import PrimeSetSpec, sieve_bound_check
@@ -42,24 +44,33 @@ def test_certificate_reads_back_as_a_certificate():
 
 
 @dataclass(frozen=True)
-class Tagged:
-    name: str
-    counts: dict[str, int]
+class Keyed:
+    counts: dict[int, int]
     flags: tuple[bool, ...]
     weights: dict[float, float]
 
 
-def test_csv_keeps_keys_and_text_out_of_the_generated_source():
-    # The codec builds its row functions with eval; keys and cell text that
-    # look like code must come back as data.
-    keys = ["__import__('os')", 'a"b', "x, y", "0)]; raise SystemExit(", "h0"]
-    rows = [
-        Tagged("__import__('os').getcwd()", {k: i for i, k in enumerate(keys)}, (True, False), {0.5: 1.25, 2.0: -3.0}),
-        Tagged('say "hi"\r\nbye', {k: -i for i, k in enumerate(keys)}, (), {0.5: 0.0, 2.0: 1e300}),
-    ]
+def test_csv_keeps_keys_and_text_out_of_the_generated_source(monkeypatch):
+    # The codec builds its row functions with eval.  to_csv writes no text,
+    # but from_csv's header comes from outside: a key that looks like code
+    # is refused as a key, and nothing in it runs.
+    calls = []
+    monkeypatch.setattr("os.getcwd", lambda: calls.append("getcwd"))
+    for header in (
+        "counts_1,flags,weights___import__('os').getcwd()",
+        "counts___import__('os').getcwd(),flags,weights_0.5",
+        'counts_0,flags,"weights_0)]; raise SystemExit(",h0',
+    ):
+        with pytest.raises(ValueError):
+            from_csv(Keyed, header + "\r\n1,true,2\r\n")
+    assert calls == []
+    # A key that g cannot read back is written by repr and reads back exactly;
+    # csv.reader also reads a header that another program quoted.
+    rows = [Keyed({-3: 1, 7: 2}, (True, False), {1e-07: 1.25, 2.1234567: -3.0}), Keyed({-3: 0, 7: -1}, (), {1e-07: 0.0, 2.1234567: 1e300})]
     text = to_csv(rows)
-    assert "counts___import__('os')" in text.splitlines()[0]
-    assert from_csv(Tagged, text) == rows
+    assert text.split("\r\n")[0] == "counts_-3,counts_7,flags,weights_1e-07,weights_2.1234567"
+    assert from_csv(Keyed, text) == rows
+    assert from_csv(Keyed, '"counts_-3","weights_1e-07",flags\r\n4,0.5,true\r\n') == [Keyed({-3: 4}, (True,), {1e-07: 0.5})]
 
 
 @dataclass(frozen=True)
@@ -97,10 +108,10 @@ def test_csv_repeated_calls_write_and_read_the_same_rows():
     assert to_csv(rows) == text
     assert from_csv(Cells, text) == rows
     assert from_csv(Cells, text) == rows
-    tagged = [Tagged("a", {"x": 1}, (True,), {0.5: 1.0}), Tagged("b", {"x": 2}, (), {0.5: 2.0})]
-    other = [Tagged("a", {"y": 1}, (True,), {2.0: 1.0})]
-    assert from_csv(Tagged, to_csv(tagged)) == tagged
-    assert from_csv(Tagged, to_csv(other)) == other
+    keyed = [Keyed({1: 1}, (True,), {0.5: 1.0}), Keyed({1: 2}, (), {0.5: 2.0})]
+    other = [Keyed({2: 1}, (True,), {2.0: 1.0, 1e-07: 3.0})]
+    assert from_csv(Keyed, to_csv(keyed)) == keyed
+    assert from_csv(Keyed, to_csv(other)) == other
 
 
 def test_csv_repeated_cells_write_the_bytes_of_distinct_ones():
@@ -115,7 +126,7 @@ def test_csv_repeated_cells_write_the_bytes_of_distinct_ones():
 
 def _writer_csv(rows) -> str:
     """csv.writer's text for the cell strings that to_csv formats: the
-    reference for its own line encoder and quoting."""
+    reference for its own line encoder, which quotes nothing."""
     def cell(tp, v):
         if tp is bool:
             return "true" if v else "false"
@@ -142,60 +153,112 @@ def _writer_csv(rows) -> str:
     return buf.getvalue()
 
 
-@dataclass(frozen=True)
-class Texts:
-    name: str
-    words: tuple[str, ...]
-    notes: dict[str, str]
-    x: float
-    ints: tuple[int, ...]
-    flag: bool
-
-
-@dataclass(frozen=True)
-class Lone:
-    text: str
-
-
-@dataclass(frozen=True)
-class LoneInts:
-    ints: tuple[int, ...]
-
-
-TRICKY = ["", ",", '"', "\r", "\n", "\r\n", "{}", "{x}", "'", "a,b", 'say "hi"', "  ", ";", "x"]
 FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 2.5, 1 / 3]
 
 
 def test_csv_lines_match_csv_writer():
-    keys = ["", "k,1", 'k"2', "k\r\n3", "{k}", "k'"]
-    rows = [
-        Texts(t, tuple(TRICKY[i:] + TRICKY[:i]), {k: TRICKY[(i + j) % len(TRICKY)] for j, k in enumerate(keys)}, x, (), i % 2 == 0)
-        for i, (t, x) in enumerate(zip(TRICKY, FLOATS * 2))
-    ]
-    rows += [Texts("", (), dict.fromkeys(keys, ""), -0.0, (1, 2), False), Texts("", ("",), dict.fromkeys(keys, ","), math.nan, (), True)]
-    assert to_csv(rows) == _writer_csv(rows)
-    back = from_csv(Texts, to_csv(rows))
-    assert [(r.name, r.notes, r.ints, r.flag) for r in back] == [(r.name, r.notes, r.ints, r.flag) for r in rows]
     for records in (
-        [Lone(t) for t in TRICKY],
-        [Lone("")],
-        [LoneInts(()), LoneInts((3,)), LoneInts(())],
         [Cells((), (x,)) for x in FLOATS] + [Cells((), ()), Cells((), (-0.0, math.nan))],
-        [Tagged("a,b", {"": 1, "x,y": 2}, (), {0.5: -0.0, 2.0: math.inf})],
+        [Cells((i, -i), tuple(FLOATS[i:])) for i in range(len(FLOATS))],
+        [Keyed({0: 1}, (), {0.5: -0.0, 2.0: math.inf}), Keyed({0: -1}, (False, True), {0.5: math.nan, 2.0: 1e-300})],
     ):
         assert to_csv(records) == _writer_csv(records), records
-    assert to_csv([Lone(""), Lone("")]) == 'text\r\n""\r\n""\r\n'
-    assert from_csv(Lone, to_csv([Lone(t) for t in TRICKY])) == [Lone(t) for t in TRICKY]
+
+
+@dataclass(frozen=True)
+class Mixed:
+    x: float
+    ints: tuple[int, ...]
+    flag: bool
+    floats: tuple[float, ...]
+    weights: dict[float, float]
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.text(",\"\r\n{}' ab"), st.lists(st.text(",\"\n'b", max_size=3), max_size=3), st.floats()), min_size=1, max_size=4))
-def test_csv_lines_match_csv_writer_on_any_text(cells):
-    rows = [Texts(t, tuple(w), {"n,1": t, "": "".join(w)}, x, (), False) for t, w, x in cells]
-    assert to_csv(rows) == _writer_csv(rows)
-    lone = [Lone(t) for t, _, _ in cells]
-    assert to_csv(lone) == _writer_csv(lone)
-    assert from_csv(Lone, to_csv(lone)) == lone
+@given(
+    st.lists(st.floats(allow_nan=False), unique=True, max_size=3),
+    st.lists(st.tuples(st.floats(), st.lists(st.integers(), max_size=3), st.booleans(), st.lists(st.floats(), max_size=3), st.floats()), min_size=1, max_size=4),
+)
+def test_csv_lines_match_csv_writer_on_any_text(keys, cells):
+    # Every cell type a record may have, nan, inf and empty tuples included:
+    # csv.writer never quotes one, and the text reads back to the same text.
+    rows = [Mixed(x, tuple(ints), flag, tuple(fs), {k: w + i for i, k in enumerate(keys)}) for x, ints, flag, fs, w in cells]
+    text = to_csv(rows)
+    assert text == _writer_csv(rows)
+    assert to_csv(from_csv(Mixed, text)) == text
+
+
+@dataclass(frozen=True)
+class Named:
+    name: str
+
+
+@dataclass(frozen=True)
+class Worded:
+    counts: dict[str, int]
+
+
+@dataclass(frozen=True)
+class Words:
+    words: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class Nested:
+    p: int
+    certificate: Certificate
+
+
+@dataclass(frozen=True)
+class Lists:
+    runs: tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
+class Pair:
+    pair: tuple[int, str]
+
+
+def test_csv_refuses_cells_that_could_need_quotes():
+    # Only int, float and bool cells, tuples of one of them and int or float
+    # dict keys are written; any other type is refused before a row is.
+    for rows, named in [
+        ([Named("a,b")], "<class 'str'>"),
+        ([Worded({"x,y": 1})], "dict keys of type int or float, not <class 'str'>"),
+        ([Words(("a",))], "tuple[str, ...]"),
+        ([Nested(41, Certificate(11, 40))], "Certificate"),
+        ([RECORDS["GenSetResult"]()], "<class 'str'>"),
+        ([Lists(((1,), (2, 3)))], "tuple[tuple[int, ...], ...]"),
+        ([Pair((1, "a,b"))], "tuple[int, str]"),
+    ]:
+        with pytest.raises(TypeError, match=re.escape(named)):
+            to_csv(rows)
+
+
+def test_csv_reader_refuses_a_header_without_a_field_column():
+    text = to_csv([survey_row(p) for p in (3, 7, 577)])
+    with pytest.raises(ValueError, match="CSV header has no column 'h_exact'"):
+        from_csv(SurveyRow, text.replace("h_exact,", "", 1))
+
+
+def test_csv_reader_refuses_a_row_without_a_cell_per_column():
+    lines = to_csv([survey_row(p) for p in (3, 7, 577)]).split("\r\n")
+    short = lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:]
+    long = lines[:3] + [lines[3] + ",1"] + lines[4:]
+    blank = lines[:3] + [""] + lines[3:]
+    for edited, line in ((short, 3), (long, 4), (blank, 4)):
+        with pytest.raises(ValueError, match=f"CSV line {line} does not have the header's 14 cells"):
+            from_csv(SurveyRow, "\r\n".join(edited))
+
+
+def test_json_reader_refuses_an_object_without_a_field():
+    rows = [survey_row(p) for p in (3, 7)]
+    data = json.loads(to_json(rows))
+    del data[1]["omega"]
+    with pytest.raises(ValueError, match="JSON object has no field 'omega'"):
+        from_json(SurveyRow, json.dumps(data))
+    with pytest.raises(ValueError, match="JSON object has no field 'omega'"):
+        from_json(SurveyRow, json.dumps(data[1]))
 
 
 @pytest.mark.parametrize("ls", [(2.1234567,), (1.0, 1.0000001), (2.0, 3.0, 1e-7 + 2.0)])
