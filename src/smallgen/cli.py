@@ -135,13 +135,13 @@ def _parse_pset(parser, args) -> PrimeSetSpec:
     parser.error(f"unknown pset {text!r}")
 
 
-def _render(args, data, pretty, **lead) -> str:
-    """data as args.format asks: csv, json with the lead keys first, or the
-    lines of pretty(), which is called only for pretty output."""
+def _render(args, data, pretty) -> str:
+    """data as args.format asks: csv, json, or the lines of pretty(), which
+    is called only for pretty output."""
     if args.format == "csv":
         return to_csv(data)
     if args.format == "json":
-        return to_json(data, **lead)
+        return to_json(data)
     return "\n".join(pretty())
 
 
@@ -157,7 +157,7 @@ def _cmd_genset(parser, args) -> str:
         "coverage: " + "; ".join(f"q={field.divisors[i][0]} <- {n}" for i, n in sorted(result.coverage.items())),
         f"n_used = {result.n_used}  asymptotic_violation = {str(result.asymptotic_violation).lower()}",
         f"certificate: g = {g}, order = {order}" + ("  (= p-1)" if order == args.p - 1 else ""),
-    ], p=args.p)
+    ])
 
 
 def _cmd_survey(parser, args) -> str:

@@ -7,16 +7,18 @@ back as k, else repr(k), in sorted order.  The JSON plan for each type is
 built once, so the loop over rows does no reflection.  A float that is not
 finite goes to JSON as the string "nan", "inf" or "-inf", its CSV spelling,
 so the text is strict JSON (RFC 8259).  CSV cells are ints, floats, bools or
-tuples of one of them, and dict keys ints or floats, as in survey and
-density rows; none can hold a comma, a quote or a line end, so to_csv quotes
-nothing and refuses any other type with TypeError.  Both readers raise
-ValueError on text that lacks a field or a cell.  Each to_csv and from_csv
-call generates one function that encodes or decodes a whole row, with eval
-as dataclasses and namedtuple do; to_csv's is one f-string that writes the
-row's CRLF line.  The source is made of field names (identifiers, as
-dataclasses and NamedTuple require), fixed templates and generated names;
-every dict key and type it needs is bound in its namespace, so no data is
-ever part of the source.  Element lists repeat across rows, so each call's
+tuples of one of them, as in survey and density rows; none can hold a
+comma, a quote or a line end, so to_csv quotes nothing and refuses any other
+type with TypeError.  Dict keys are ints or floats in both formats: _fields,
+built once per record class, refuses any other key type with TypeError, so
+all four functions refuse such a class before a row is written or read.
+Both readers raise ValueError on text that lacks a field or a cell.  Each
+to_csv and from_csv call generates one function that encodes or decodes a
+whole row, with eval as dataclasses and namedtuple do; to_csv's is one
+f-string that writes the row's CRLF line.  The source is made of field names
+(identifiers, as dataclasses and NamedTuple require), fixed templates and
+generated names; every dict key and type it needs is bound in its namespace,
+so no data is ever part of the source.  Element lists repeat across rows, so each call's
 function also holds one dict per tuple column: a distinct cell is parsed,
 or a distinct int tuple formatted, once per call.
 """
@@ -39,8 +41,16 @@ def _is_record(tp) -> bool:
 
 @cache
 def _fields(cls) -> tuple[tuple[str, object, str], ...]:
-    """(name, type, CSV column) of each field of a record class, in order."""
+    """(name, type, CSV column) of each field of a record class, in order.
+
+    A dict field whose keys are not ints or floats raises TypeError: a bool
+    key's text "False" would read back as True, and a str key could need
+    CSV quotes.
+    """
     hints = typing.get_type_hints(cls)
+    for name, tp in hints.items():
+        if typing.get_origin(tp) is dict and typing.get_args(tp)[0] not in (int, float):
+            raise TypeError(f"{cls.__name__}.{name}: dict keys of type int or float, not {typing.get_args(tp)[0]!r}")
     if dataclasses.is_dataclass(cls):
         return tuple((f.name, hints[f.name], f.metadata.get("csv", f.name)) for f in dataclasses.fields(cls))
     return tuple((name, hints[name], name) for name in cls._fields)
@@ -94,25 +104,25 @@ def _json_decoder(tp):
     return None
 
 
-def to_json(obj, **lead) -> str:
+def to_json(obj) -> str:
     """JSON text (2-space indent, trailing newline) of a record or a list of records.
 
-    A nested record is an object and a tuple a list.  A float that is not
-    finite is the string "nan", "inf" or "-inf", so the text is strict JSON.
-    lead holds extra top-level keys written before the fields of a single record.
+    A record is an object of its fields in order, a nested record an object
+    and a tuple a list.  A float that is not finite is the string "nan",
+    "inf" or "-inf", so the text is strict JSON.
     """
     if isinstance(obj, list):
         enc = _json_encoder(type(obj[0])) if obj else None
         data = [enc(row) for row in obj]
     else:
-        data = {**lead, **_json_encoder(type(obj))(obj)}
+        data = _json_encoder(type(obj))(obj)
     return json.dumps(data, indent=2, allow_nan=False) + "\n"
 
 
 def from_json(cls, text: str):
     """Records of class cls from to_json text: a list for a list, else one record.
 
-    Keys that are not fields of cls, such as to_json's lead keys, are ignored.
+    Keys that are not fields of cls are ignored; a missing field raises ValueError.
     """
     data = json.loads(text)
     dec = _json_decoder(cls)
@@ -168,10 +178,10 @@ def to_csv(rows) -> str:
     A field's column is its name, or the "csv" name in its metadata.  A dict
     field has one column <column>_<key> per key of the first row.  Floats get
     12 significant digits, booleans are true/false, tuples are joined by ";".
-    A cell of any other type, or a dict key that is not an int or a float,
-    raises TypeError before any row is written; no cell needs quotes.  One
-    f-string per call, generated from the fields and those keys, writes a
-    row's CRLF line.
+    A cell of any other type raises TypeError before any row is written, as
+    _fields does for a dict key that is not an int or a float; no cell needs
+    quotes.  One f-string per call, generated from the fields and those keys,
+    writes a row's CRLF line.
     """
     if not rows:
         return ""
@@ -179,8 +189,6 @@ def to_csv(rows) -> str:
     for name, tp, column in _fields(type(rows[0])):
         if typing.get_origin(tp) is dict:
             key_type, value_type = typing.get_args(tp)
-            if key_type not in (int, float):
-                raise TypeError(f"to_csv writes dict keys of type int or float, not {key_type!r}")
             for k in sorted(getattr(rows[0], name)):
                 header.append(f"{column}_{_key(key_type)(k)}")
                 cells.append(_cell(value_type, f"row.{name}[{_bind(env, k)}]", env))

@@ -39,10 +39,12 @@ class InfeasibleCoverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchPolicy:
-    """Radius policy: start at ceil(p**(exponent+epsilon)), double on failure.
+    """Radius policy: start at ceil(p**(exponent+epsilon)), double on failure
+    up to cap(p).
 
     hard_cap=None means p-1, which always suffices since a primitive root
-    exists below p.
+    exists below p.  expand_on_failure=False caps the radius at the initial
+    one, so a scan that fails there raises instead of doubling.
     """
 
     epsilon: float = 0.05
@@ -60,7 +62,10 @@ class SearchPolicy:
         return max(2, math.ceil(p ** (GENERATION_EXPONENT + self.epsilon)))
 
     def cap(self, p: int) -> int:
-        return p - 1 if self.hard_cap is None else self.hard_cap
+        """The largest radius the search may reach: p - 1 or hard_cap, and at
+        most the initial radius when expand_on_failure is off."""
+        cap = p - 1 if self.hard_cap is None else self.hard_cap
+        return cap if self.expand_on_failure else min(cap, self.initial_radius(p))
 
 
 class Certificate(NamedTuple):
@@ -72,14 +77,15 @@ class Certificate(NamedTuple):
 
 @dataclass(frozen=True)
 class GenSetResult:
-    """A generating set with its coverage map and primitive-root certificate.
+    """A generating set of F_p* with its coverage map and primitive-root certificate.
 
-    coverage maps each divisor index to the element chosen to cover it;
-    n_used is the final search radius; asymptotic_violation records whether
-    that radius exceeded the initial one; exact is set only when minimal
-    cardinality was proven.
+    p is the prime of the field; coverage maps each divisor index to the
+    element chosen to cover it; n_used is the final search radius;
+    asymptotic_violation records whether that radius exceeded the initial
+    one; exact is set only when minimal cardinality was proven.
     """
 
+    p: int
     method: str
     elements: tuple[int, ...]
     coverage: dict[int, int]
@@ -127,9 +133,10 @@ def _scan(fields, policy: SearchPolicy, masks) -> list[CandidateTable]:
     masks(n, live) gives candidate n's mask for each field index in live,
     indexed by field index.  A field stops at its first full mask, or at the
     end of a radius step, min(radius, p - 1), with every divisor index
-    covered; else its radius doubles, up to the policy's cap.  The first
-    field in order that stops uncovered raises InfeasibleCoverError at the
-    radius it reached.
+    covered; else its radius doubles while it is below policy.cap(p).  The
+    policy is read only through initial_radius and cap.  The first field in
+    order that stops uncovered raises InfeasibleCoverError at the radius it
+    reached.
     """
     initial = [policy.initial_radius(f.p) for f in fields]
     cap = [policy.cap(f.p) for f in fields]
@@ -148,7 +155,7 @@ def _scan(fields, policy: SearchPolicy, masks) -> list[CandidateTable]:
             union[j] |= mask
             if mask != full[j] and n < limit[j]:
                 stay.append(j)
-            elif union[j] != full[j] and policy.expand_on_failure and radius[j] < cap[j]:
+            elif union[j] != full[j] and radius[j] < cap[j]:
                 radius[j] = min(2 * radius[j], cap[j])
                 limit[j] = min(radius[j], fields[j].p - 1)
                 stay.append(j)
@@ -319,6 +326,7 @@ def certify(table: CandidateTable, method: str = "elementary", size_cap: int | N
     coverage = {i: next(n for n in picks if masks[n] >> i & 1) for i in range(field.r)}
     g = next((n for n in elements if masks[n] == full), None) or _combine(coverage, field)
     return GenSetResult(
+        p=field.p,
         elements=elements,
         method=method,
         coverage=coverage,

@@ -37,6 +37,10 @@ from .modcore import _POW_MOD_MAX, FieldSpec, _pow_mod, is_prime
 
 SIEVE_LIMIT = 10**8  # only prime_flags holds its 50 MB of odd flags; other sieves stream 1 MiB blocks
 
+# p - 1 < SIEVE_LIMIT < 23# = 2 * 3 * ... * 23 = 223092870, so p - 1 has at
+# most 8 distinct prime factors: the slots of one row of _p_minus_one_blocks.
+_PAIR_SLOTS = 8
+
 # 1 MiB of odd flags per segment (2 MiB of integers) fits a core's L2 cache.
 # On a 2-vCPU Xeon VM with 2 MiB of L2 per core, prime_flags(1e8) took a
 # median 0.14-0.16 s with 1 MiB segments, 0.18-0.20 s with 512 KiB and
@@ -233,10 +237,9 @@ def _p_minus_one_blocks(p_min: int, p_max: int):
                 return rank[start::m][block[start::m]]
 
             i = np.flatnonzero(block) + lo
-            # p - 1 < SIEVE_LIMIT < 2 * 3 * ... * 23 has at most 8 distinct prime
-            # factors, so each prime's pairs fill a row of 8 slots in q order.
-            q_slots = np.zeros((i.size, 8), dtype=np.int32)
-            alpha_slots = np.zeros((i.size, 8), dtype=np.int8)
+            # Each prime's pairs fill a row of _PAIR_SLOTS slots in q order.
+            q_slots = np.zeros((i.size, _PAIR_SLOTS), dtype=np.int32)
+            alpha_slots = np.zeros((i.size, _PAIR_SLOTS), dtype=np.int8)
             counts = np.zeros(i.size, dtype=np.int8)
 
             def put(own, q, alpha):
@@ -260,7 +263,7 @@ def _p_minus_one_blocks(p_min: int, p_max: int):
                 put(own, q, alpha)
             big = np.flatnonzero(residual > 1)
             put(big, residual[big], 1)
-            filled = np.arange(8) < counts[:, None]
+            filled = np.arange(_PAIR_SLOTS) < counts[:, None]
             q, alpha = q_slots[filled], alpha_slots[filled]
             del rank, q_slots, alpha_slots, residual, filled
             yield from _divisor_runs(2 * i + 1, counts, q, alpha)

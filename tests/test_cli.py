@@ -8,7 +8,8 @@ from smallgen.anatomy import AnatomyRecord, DyadicSchedule
 from smallgen.cli import main, run
 from smallgen.codec import from_json
 from smallgen.experiments import DensityRow, SurveyRow
-from smallgen.genset import GenSetResult
+from smallgen.genset import GenSetResult, generates
+from smallgen.modcore import field_spec
 from smallgen.sievelab import SieveReport
 
 
@@ -148,10 +149,11 @@ def test_genset_pretty_p13_exact(capsys):
 def test_genset_json_round_trip(capsys):
     assert run(["genset", "--p", "41", "--method", "greedy", "--format", "json"]) == 0
     text = out_of(capsys)
-    p, result = json.loads(text)["p"], from_json(GenSetResult, text)
-    assert p == 41
+    result = from_json(GenSetResult, text)
+    assert result.p == 41
     assert result.method == "greedy"
     assert result.certificate is not None
+    assert generates(result.elements, field_spec(result.p))
 
 
 # ---------------------------------------------------------------------------

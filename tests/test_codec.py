@@ -235,6 +235,31 @@ def test_csv_refuses_cells_that_could_need_quotes():
             to_csv(rows)
 
 
+@dataclass(frozen=True)
+class BoolKeyed:
+    m: dict[bool, int]
+
+
+def test_codec_refuses_dict_keys_other_than_int_or_float():
+    # A bool key is written "False" and would read back as bool("False"),
+    # True; a str key could need quotes.  The record class is refused by
+    # every entry point before a row is written or read.
+    for x, key_type, json_text, csv_text in [
+        (BoolKeyed({False: 1, True: 2}), bool, '{"m": {"False": 1, "True": 2}}', "m_False,m_True\r\n1,2\r\n"),
+        (Worded({"x": 1}), str, '{"counts": {"x": 1}}', "counts_x\r\n1\r\n"),
+    ]:
+        cls = type(x)
+        for call in (
+            lambda: to_json(x),
+            lambda: to_json([x]),
+            lambda: to_csv([x]),
+            lambda: from_json(cls, json_text),
+            lambda: from_csv(cls, csv_text),
+        ):
+            with pytest.raises(TypeError, match=re.escape(f"dict keys of type int or float, not {key_type!r}")):
+                call()
+
+
 def test_csv_reader_refuses_a_header_without_a_field_column():
     text = to_csv([survey_row(p) for p in (3, 7, 577)])
     with pytest.raises(ValueError, match="CSV header has no column 'h_exact'"):

@@ -236,6 +236,18 @@ def test_hard_cap_stops_expansion():
     assert r.n_used == 4
 
 
+def test_no_expand_caps_the_radius_at_the_initial_one():
+    # cap is the one ceiling _scan reads: without expansion it is the
+    # initial radius, unless p - 1 or hard_cap lies below it.
+    for p, epsilon in ((3, 1.0), (7, 0.05), (577, 0.05), (10007, 0.3), (8608456956238879741, 0.05)):
+        policy = SearchPolicy(epsilon=epsilon, expand_on_failure=False)
+        assert policy.cap(p) == min(p - 1, policy.initial_radius(p))
+        for hard_cap in (2, 5, 10**30):
+            policy = SearchPolicy(epsilon=epsilon, expand_on_failure=False, hard_cap=hard_cap)
+            assert policy.cap(p) == min(hard_cap, policy.initial_radius(p))
+            assert SearchPolicy(epsilon=epsilon, hard_cap=hard_cap).cap(p) == hard_cap
+
+
 def test_exact_size_cap_falls_back_to_greedy():
     f = field_spec(41)  # needs two elements below its radius
     t = candidate_table(f)
@@ -381,7 +393,7 @@ def test_coverage_map_is_consistent(p):
             assert residue_signature(n, f) >> i & 1
 
 
-# sha256 of to_json(result, p=p), the genset --format json document, per
+# sha256 of to_json(result), the genset --format json document, per
 # method.  Coverage maps and certificates never reach the survey CSV, so these
 # pins are what guards their bytes across versions.
 GENSET_JSON_SHA256 = {
@@ -417,7 +429,7 @@ def test_genset_json_pinned():
     for p, pins in GENSET_JSON_SHA256.items():
         table = candidate_table(field_spec(p))
         for method, pin in pins.items():
-            text = to_json(certify(table, method), p=p)
+            text = to_json(certify(table, method))
             assert hashlib.sha256(text.encode()).hexdigest() == pin, (p, method)
 
 
@@ -450,8 +462,8 @@ def test_early_exit_matches_full_scan():
             full = CandidateTable(f, table.radius, table.initial, masks)
             stopped_early += len(table.masks) < len(masks)
             for name, construct in constructions.items():
-                want = to_json(construct(full), p=f.p)
-                assert to_json(construct(table), p=f.p) == want, (f.p, policy, name)
+                want = to_json(construct(full))
+                assert to_json(construct(table)) == want, (f.p, policy, name)
     assert stopped_early > 0
 
 
