@@ -43,8 +43,10 @@ class SearchPolicy:
     up to cap(p).
 
     hard_cap=None means p-1, which always suffices since a primitive root
-    exists below p.  expand_on_failure=False caps the radius at the initial
-    one, so a scan that fails there raises instead of doubling.
+    exists below p; otherwise it is an int >= 2 (a bool or a float is
+    refused), so n_used stays an int.  expand_on_failure=False caps the
+    radius at the initial one, so a scan that fails there raises instead of
+    doubling.  epsilon and hard_cap are checked when the policy is made.
     """
 
     epsilon: float = 0.05
@@ -55,6 +57,8 @@ class SearchPolicy:
         # 16 is the largest whole epsilon whose initial radius is a finite float for every p < 2**63.
         if not 0 < self.epsilon <= 16:
             raise ValueError(f"epsilon must lie in (0, 16], got {self.epsilon}")
+        if self.hard_cap is not None and type(self.hard_cap) is not int:
+            raise ValueError(f"hard_cap must be an int, got {self.hard_cap!r}")
         if self.hard_cap is not None and self.hard_cap < 2:
             raise ValueError(f"hard_cap must be >= 2, got {self.hard_cap}")
 

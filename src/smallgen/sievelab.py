@@ -284,7 +284,12 @@ def _divisor_runs(primes, counts, q, alpha):
 @dataclass(frozen=True)
 class PrimeSetSpec:
     """A subset of the primes <= x: threshold (p <= x**(1/u)), residue
-    (q_i-th power residues mod p), or an explicit list."""
+    (q_i-th power residues mod p), or an explicit list.
+
+    A spec is checked when it is made, by the constructor or a classmethod:
+    __post_init__ checks x and _membership the kind and its parameters, each
+    refusal a ValueError raised before anything is sieved.
+    """
 
     x: int
     kind: str
@@ -296,26 +301,24 @@ class PrimeSetSpec:
     def __post_init__(self):
         if self.x < 1:
             raise ValueError(f"x must be >= 1, got {self.x}")
+        _membership(self)
 
     @classmethod
     def threshold(cls, x: int, u: float) -> "PrimeSetSpec":
-        if not u >= 1:  # nan fails it too
-            raise ValueError(f"u must be >= 1, got {u}")
+        """The primes p <= x**(1/u); u >= 1."""
         return cls(x=x, kind="threshold", u=float(u))
 
     @classmethod
     def residue(cls, x: int, field: FieldSpec, divisor_index: int) -> "PrimeSetSpec":
-        if not 0 <= divisor_index < field.r:
-            raise ValueError(f"divisor index {divisor_index} out of range for r={field.r}")
+        """The primes t <= x with t**((p - 1) / q) = 1 mod p, for the
+        divisor_index-th prime q of field's p - 1."""
         return cls(x=x, kind="residue", field=field, divisor_index=divisor_index)
 
     @classmethod
     def explicit(cls, x: int, primes) -> "PrimeSetSpec":
-        members = sorted(set(int(p) for p in primes))
-        for p in members:
-            if not is_prime(p):
-                raise ValueError(f"explicit prime set contains non-prime {p}")
-        return cls(x=x, kind="explicit", members=tuple(p for p in members if p <= x))
+        """The given primes, sorted and deduplicated; those above x are kept
+        but never realized."""
+        return cls(x=x, kind="explicit", members=tuple(sorted({int(p) for p in primes})))
 
     def realize(self) -> np.ndarray:
         """The realized prime set, ascending (read-only array)."""
@@ -336,14 +339,26 @@ def _split(spec: PrimeSetSpec) -> tuple[np.ndarray, np.ndarray]:
     return parts
 
 
+# Made at construction and asked for again by _split, so an explicit set's
+# members are checked once, not again when the spec is first realized.
+@lru_cache(maxsize=1)
 def _membership(spec: PrimeSetSpec):
-    """The set's membership test: ascending int64 primes -> boolean mask."""
+    """The set's membership test: ascending int64 primes -> boolean mask.
+
+    Each branch checks the fields it reads before it builds the test, and an
+    unknown kind is refused; PrimeSetSpec.__post_init__ calls it, so no bad
+    spec is made."""
     if spec.kind == "threshold":
+        if spec.u is None or not spec.u >= 1:  # nan fails it too
+            raise ValueError(f"u must be >= 1, got {spec.u}")
         limit = math.exp(math.log(spec.x) / spec.u) if spec.x > 1 else 1.0
         cut = int(limit * (1.0 + 1e-12))
         return lambda primes: primes <= cut
     if spec.kind == "residue":
         field = spec.field
+        r = field.r if isinstance(field, FieldSpec) else None
+        if r is None or spec.divisor_index not in range(r):
+            raise ValueError(f"divisor index {spec.divisor_index} out of range for r={r}")
         p = field.p
         q, _ = field.divisors[spec.divisor_index]
         exp = (p - 1) // q
@@ -361,6 +376,9 @@ def _membership(spec: PrimeSetSpec):
 
         return inside
     if spec.kind == "explicit":
+        for p in (None,) if spec.members is None else spec.members:
+            if p is None or not is_prime(p):
+                raise ValueError(f"explicit prime set contains non-prime {p}")
         return lambda primes: np.isin(primes, spec.members)
     raise ValueError(f"unknown prime set kind {spec.kind!r}")
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from smallgen import experiments
 from smallgen.anatomy import AnatomyRecord, DyadicSchedule
 from smallgen.cli import main, run
 from smallgen.codec import from_json
@@ -116,6 +117,17 @@ def test_survey_past_sieve_cap_is_an_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def test_survey_runs_serial_by_default(monkeypatch, capsys):
+    # 3..20000 is cut into several windows when more than one worker is
+    # asked for; by default the survey runs in this process and starts no pool.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("survey started a process pool")
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+    assert run(["survey", "--min", "3", "--max", "20000"]) == 0
+    assert out_of(capsys).count("\n") == 1 + 2261  # the header and pi(20000) - 1 rows
 
 
 def test_help_everywhere(capsys):

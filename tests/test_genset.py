@@ -98,6 +98,17 @@ def test_policy_validation():
         SearchPolicy(hard_cap=1)
 
 
+def test_policy_refuses_a_hard_cap_that_is_not_an_int():
+    # A float cap would come back as a float n_used, written to JSON for an int field.
+    for hard_cap in (2.5, 64.0, True, "8"):
+        with pytest.raises(ValueError) as info:
+            SearchPolicy(hard_cap=hard_cap)
+        assert str(info.value) == f"hard_cap must be an int, got {hard_cap!r}"
+    with pytest.raises(ValueError, match="hard_cap must be >= 2, got 1"):
+        SearchPolicy(hard_cap=1)
+    assert certify(candidate_table(field_spec(41), SearchPolicy(hard_cap=64)), "elementary").n_used == 3
+
+
 # ---------------------------------------------------------------------------
 # candidate table
 # ---------------------------------------------------------------------------

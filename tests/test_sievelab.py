@@ -219,12 +219,50 @@ def test_threshold_boundary_prime_included():
 def test_explicit_set_validation():
     with pytest.raises(ValueError):
         PrimeSetSpec.explicit(30, [2, 3, 4])
+    with pytest.raises(ValueError, match="non-prime 33"):
+        PrimeSetSpec.explicit(30, [2, 33])  # a composite above x is refused too
     with pytest.raises(ValueError):
         PrimeSetSpec(x=0, kind="explicit", members=())
     spec = PrimeSetSpec.explicit(30, [5, 2, 3, 101])  # 101 > x is dropped
     assert spec.realize().tolist() == [2, 3, 5]
     with pytest.raises(ValueError, match="unknown prime set kind"):
         PrimeSetSpec(x=10, kind="bogus").realize()
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        pytest.param(dict(x=10, kind="threshold"), "u must be >= 1, got None", id="threshold-without-u"),
+        pytest.param(dict(x=1000, kind="threshold", u=0.5), "u must be >= 1, got 0.5", id="threshold-u-below-1"),
+        pytest.param(dict(x=1000, kind="threshold", u=math.nan), "u must be >= 1, got nan", id="threshold-u-nan"),
+        pytest.param(dict(x=10, kind="residue"), "divisor index None out of range for r=None", id="residue-without-field"),
+        pytest.param(dict(x=10, kind="residue", field=field_spec(7), divisor_index=5), "divisor index 5 out of range for r=2", id="residue-index-out-of-range"),
+        pytest.param(dict(x=10, kind="explicit"), "explicit prime set contains non-prime None", id="explicit-without-members"),
+        pytest.param(dict(x=30, kind="explicit", members=(4, 9)), "explicit prime set contains non-prime 4", id="explicit-composites"),
+        pytest.param(dict(x=10, kind="bogus"), "unknown prime set kind 'bogus'", id="unknown-kind"),
+    ],
+)
+def test_prime_set_spec_refuses_at_construction(monkeypatch, fields, message):
+    # The constructor itself refuses what the classmethods refuse, before any
+    # realize() and before any sieve block is asked for.
+    asked = []
+    monkeypatch.setattr(sievelab, "_odd_blocks", lambda *args, **kwargs: asked.append(args))
+    with pytest.raises(ValueError) as info:
+        PrimeSetSpec(**fields)
+    assert str(info.value) == message
+    assert asked == []
+
+
+def test_explicit_members_are_checked_once(monkeypatch):
+    # realize() asks _membership for the test that the spec was checked by
+    # when it was made; the members' primality is not tested again.
+    checked = []
+    monkeypatch.setattr(sievelab, "is_prime", lambda n: checked.append(n) or is_prime(n))
+    sievelab._membership.cache_clear()
+    sievelab._split.cache_clear()
+    spec = PrimeSetSpec.explicit(100, [5, 3, 2, 101])
+    assert spec.realize().tolist() == [2, 3, 5]
+    assert checked == [2, 3, 5, 101]
 
 
 def test_residue_set_members_are_residues():
