@@ -15,13 +15,13 @@ to sqrt(limit).  No other module reads its blocks.  primes_upto and the
 split stream them through one collector, psi_count strikes its own, and
 _one_mod_counts counts the primes p = 1 mod q for density_experiment, so
 none holds an x-sized flag array; only prime_flags copies them into one, and
-modcore.is_prime keeps that copy below 2**17 as its table.  Two sources
-factor p - 1 for many primes at once and yield (p, divisors), so no caller
-sees their arrays.  _p_minus_one_blocks sieves only [p_min, p_max] and reads
-every divisor of every p - 1 there off its blocks by strides, a block at a
-time: an unsampled survey window's.  p_minus_one_divisors trial-divides a
-given list of primes, and is a sampled survey's, which would otherwise
-factor every prime below p_max.
+modcore.is_prime keeps that copy below 2**17 as its table.  One kernel,
+_divisor_runs, factors p - 1 for many primes at once and yields (p, divisors),
+so no caller sees its arrays; its two sources differ only in how they find
+the odd primes q dividing each p - 1.  _p_minus_one_blocks reads them off
+the sieve blocks of [p_min, p_max] by strides: an unsampled survey window's.
+p_minus_one_divisors trial-divides a given list of primes: a sampled
+survey's, which would otherwise factor every prime below p_max.
 """
 
 from __future__ import annotations
@@ -35,11 +35,9 @@ import numpy as np
 
 from .modcore import _POW_MOD_MAX, FieldSpec, _pow_mod, is_prime
 
-SIEVE_LIMIT = 10**8  # only prime_flags holds its 50 MB of odd flags; other sieves stream 1 MiB blocks
-
-# p - 1 < SIEVE_LIMIT < 23# = 2 * 3 * ... * 23 = 223092870, so p - 1 has at
-# most 8 distinct prime factors: the slots of one row of _p_minus_one_blocks.
-_PAIR_SLOTS = 8
+# Sieves stream 1 MiB blocks, but prime_flags' odd flags (50 MB at 1e8),
+# _collect's primes (46 MB) and a sampled survey's primes_upto(p_max) grow with x.
+SIEVE_LIMIT = 10**8
 
 # 1 MiB of odd flags per segment (2 MiB of integers) fits a core's L2 cache.
 # On a 2-vCPU Xeon VM with 2 MiB of L2 per core, prime_flags(1e8) took a
@@ -175,108 +173,89 @@ def _prime_count_bound(x: int) -> int:
 
 
 def p_minus_one_divisors(primes):
-    """Yield (p, divisors) for each p in primes, in order, where divisors holds
-    the (q, alpha) pairs of p - 1 with q increasing: FieldSpec's divisors.
+    """(p, divisors) for each p in primes, in order, where divisors holds the
+    (q, alpha) pairs of p - 1 with q increasing: FieldSpec's divisors.
 
-    A vectorized trial division: each prime q <= sqrt(max p - 1) is divided
-    out of every p - 1 at once, and a remainder above 1 is the one prime
-    factor above that bound.  The cost is pi(sqrt(max p)) array operations,
-    and the working arrays are the size of primes.
-    """
+    A vectorized trial division, which refuses a p < 2 at the call: each odd
+    prime q <= sqrt(max p - 1) is found by one rem % q over the whole array,
+    so the cost is pi(sqrt(max p)) array passes the size of primes."""
     primes = np.asarray(primes, dtype=np.int64)
     if primes.size and int(primes.min()) < 2:
         raise ValueError(f"p - 1 must be >= 1, got p = {int(primes.min())}")
     rem = primes - 1
-    divisors = [[] for _ in range(primes.size)]
-    for q in primes_upto(math.isqrt(int(primes.max(initial=2)) - 1)).tolist():
-        idx = np.flatnonzero(rem % q == 0)
-        if idx.size == 0:
-            continue
-        sub = rem[idx] // q
-        alpha = np.ones(idx.size, dtype=np.int64)
-        hit = sub % q == 0
-        while hit.any():
-            sub[hit] //= q
-            alpha += hit
-            hit = sub % q == 0
-        rem[idx] = sub
-        for i, a in zip(idx.tolist(), alpha.tolist()):
-            divisors[i].append((q, a))
-    for p, pairs, r in zip(primes.tolist(), divisors, rem.tolist()):
-        if r > 1:
-            pairs.append((r, 1))
-        yield p, tuple(pairs)
+    odd_qs = primes_upto(math.isqrt(int(primes.max(initial=2)) - 1))[1:].tolist()
+    return _divisor_runs(primes, rem, ((q, np.flatnonzero(rem % q == 0)) for q in odd_qs))
 
 
 def _p_minus_one_blocks(p_min: int, p_max: int):
     """Yield (p, divisors) for each odd prime p in [p_min, p_max], in order, as
-    p_minus_one_divisors does, factoring p - 1 in one stride pass over the
-    sieve's blocks, which start at p_min's index, so no block below p_min is
-    sieved.  Per block, its primes (int64) and their pairs (q int32, alpha
-    int8), counts[0] (int8) for primes[0] and so on, are built and the
-    block's temporaries freed before _divisor_runs yields its runs, since a
-    caller builds its rows while the pass is suspended.
+    p_minus_one_divisors does, one sieve block at a time from p_min's index,
+    so no block below p_min is sieved; p_max is checked at the call, before
+    any allocation, as _odd_blocks checks it.
 
-    Index i stands for p = 2i + 1, so p - 1 = 2i: q = 2 pairs with every p,
-    with alpha = 1 + v2(i).  An odd q <= sqrt(p_max - 1) divides p - 1 iff it
-    divides i, at the flagged indices of stride q from (-lo) mod q; those of
-    stride q**k give alpha, and q**alpha is divided out of a residual copy of
-    i there.  A residual above 1 is the one prime factor above the bound.  No
-    division is made by a q that does not divide.  The limit is checked at
-    the call, before any allocation, as _odd_blocks checks it.
-    """
+    Index i stands for p = 2i + 1, so an odd q <= sqrt(p_max - 1) divides
+    p - 1 = 2i iff it divides i: at the flagged indices of stride q from
+    (-lo) mod q, found with no division.  A block's rank array is freed with
+    its last q, before a caller builds rows while the pass is suspended."""
     blocks = _odd_blocks(p_max, begin=p_min // 2)  # p = 2i + 1 >= p_min iff i >= p_min // 2
     odd_qs = primes_upto(math.isqrt(max(p_max - 1, 0)))[1:].tolist()
 
+    def strides(lo, block):
+        rank = np.cumsum(block, dtype=np.int32) - 1  # a flagged index's place among the primes
+        for q in odd_qs:
+            start = (-lo) % q
+            yield q, rank[start::q][block[start::q]]
+
     def factored():
         for lo, block in blocks:
-            rank = np.cumsum(block, dtype=np.int32) - 1  # a flagged index's place among the primes
-
-            def hits(m):  # the places of the primes whose i is a multiple of m
-                start = (-lo) % m
-                return rank[start::m][block[start::m]]
-
-            i = np.flatnonzero(block) + lo
-            # Each prime's pairs fill a row of _PAIR_SLOTS slots in q order.
-            q_slots = np.zeros((i.size, _PAIR_SLOTS), dtype=np.int32)
-            alpha_slots = np.zeros((i.size, _PAIR_SLOTS), dtype=np.int8)
-            counts = np.zeros(i.size, dtype=np.int8)
-
-            def put(own, q, alpha):
-                slot = counts[own]
-                q_slots[own, slot] = q
-                alpha_slots[own, slot] = alpha
-                counts[own] += 1
-
-            alpha = np.frexp(i & -i)[1]  # i & -i = 2**(alpha - 1)
-            residual = i >> (alpha - 1)
-            put(np.arange(i.size), 2, alpha)
-            for q in odd_qs:
-                own = hits(q)
-                alpha = np.ones(own.size, dtype=np.int64)
-                power, deeper = q * q, own
-                while deeper.size and power < lo + block.size:
-                    deeper = hits(power)
-                    alpha[np.searchsorted(own, deeper)] += 1
-                    power *= q
-                residual[own] //= q**alpha
-                put(own, q, alpha)
-            big = np.flatnonzero(residual > 1)
-            put(big, residual[big], 1)
-            filled = np.arange(_PAIR_SLOTS) < counts[:, None]
-            q, alpha = q_slots[filled], alpha_slots[filled]
-            del rank, q_slots, alpha_slots, residual, filled
-            yield from _divisor_runs(2 * i + 1, counts, q, alpha)
+            rem = 2 * (np.flatnonzero(block) + lo)
+            yield from _divisor_runs(rem + 1, rem, strides(lo, block))
 
     return factored()
 
 
-def _divisor_runs(primes, counts, q, alpha):
-    """Yield (p, divisors) for each p in primes, in order, from one block of
-    _p_minus_one_blocks' arrays: p's pairs are the next counts of (q, alpha).
-    A memoryview iterates an array as Python ints, one at a time, so no list
-    of the block's ints is held."""
-    pairs = zip(memoryview(q), memoryview(alpha))
+def _divisor_runs(primes, rem, found):
+    """Yield (p, divisors) for each p in primes, in order: the one factoring
+    kernel of both sources.  rem holds each p - 1 (int64, divided in place),
+    and found yields (q, idx) for each odd prime q <= sqrt(max rem),
+    ascending, idx the places where q divides rem.
+
+    2 goes by rem's lowest set bit, each q**alpha is divided out at its idx,
+    and a rem left above 1 is the one prime factor above the bound.  The
+    pairs fill each p's row of the slot table in q order before any is
+    yielded, a slot for each distinct prime factor an integer <= max(rem) can
+    have, and memoryviews yield them as Python ints without a list."""
+    top = int(rem.max(initial=1))
+    primorials = itertools.accumulate(filter(is_prime, itertools.count(2)), lambda a, b: a * b)  # 2, 2 * 3, ...
+    width = sum(1 for _ in itertools.takewhile(lambda n: n <= top, primorials))
+    q_slots = np.zeros((rem.size, width), dtype=np.int32 if top < 2**31 else np.int64)
+    alpha_slots = np.zeros((rem.size, width), dtype=np.int8)
+    counts = np.zeros(rem.size, dtype=np.int8)
+
+    def put(own, q, alpha):
+        slot = counts[own]
+        q_slots[own, slot] = q
+        alpha_slots[own, slot] = alpha
+        counts[own] = slot + 1
+
+    alpha = np.frexp(rem & -rem)[1] - 1  # rem & -rem = 2**alpha
+    rem >>= alpha
+    own = np.flatnonzero(alpha)
+    put(own, 2, alpha[own])
+    for q, own in found:
+        if own.size == 0:
+            continue
+        sub, alpha = rem[own] // q, np.ones(own.size, dtype=np.int8)
+        while (hit := sub % q == 0).any():
+            sub[hit] //= q
+            alpha += hit
+        rem[own] = sub
+        put(own, q, alpha)
+    own = np.flatnonzero(rem > 1)
+    put(own, rem[own], 1)
+    filled = np.arange(width) < counts[:, None]
+    pairs = zip(memoryview(q_slots[filled]), memoryview(alpha_slots[filled]))
+    del q_slots, alpha_slots, filled
     for p, count in zip(memoryview(primes), memoryview(counts)):
         yield p, tuple(itertools.islice(pairs, count))
 
@@ -287,8 +266,10 @@ class PrimeSetSpec:
     (q_i-th power residues mod p), or an explicit list.
 
     A spec is checked when it is made, by the constructor or a classmethod:
-    __post_init__ checks x and _membership the kind and its parameters, each
-    refusal a ValueError raised before anything is sieved.
+    __post_init__ checks x and that members is a tuple (the caches hash it),
+    and _membership the kind and its parameters, each refusal a ValueError
+    raised before anything is sieved.  x, divisor_index and each member must
+    be of type int, not a float, a bool or a numpy integer.
     """
 
     x: int
@@ -299,8 +280,10 @@ class PrimeSetSpec:
     members: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.x < 1:
-            raise ValueError(f"x must be >= 1, got {self.x}")
+        if type(self.x) is not int or self.x < 1:
+            raise ValueError(f"x must be >= 1, got {self.x!r}")
+        if self.members is not None and type(self.members) is not tuple:
+            raise ValueError(f"explicit prime set members must be a tuple, got {self.members!r}")
         _membership(self)
 
     @classmethod
@@ -357,7 +340,7 @@ def _membership(spec: PrimeSetSpec):
     if spec.kind == "residue":
         field = spec.field
         r = field.r if isinstance(field, FieldSpec) else None
-        if r is None or spec.divisor_index not in range(r):
+        if r is None or type(spec.divisor_index) is not int or spec.divisor_index not in range(r):
             raise ValueError(f"divisor index {spec.divisor_index} out of range for r={r}")
         p = field.p
         q, _ = field.divisors[spec.divisor_index]
@@ -377,8 +360,8 @@ def _membership(spec: PrimeSetSpec):
         return inside
     if spec.kind == "explicit":
         for p in (None,) if spec.members is None else spec.members:
-            if p is None or not is_prime(p):
-                raise ValueError(f"explicit prime set contains non-prime {p}")
+            if type(p) is not int or not is_prime(p):
+                raise ValueError(f"explicit prime set contains non-prime {p!r}")
         return lambda primes: np.isin(primes, spec.members)
     raise ValueError(f"unknown prime set kind {spec.kind!r}")
 

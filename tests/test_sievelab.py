@@ -178,6 +178,59 @@ def test_stride_pass_refuses_past_the_cap_when_called(monkeypatch):
     assert sieved == []
 
 
+@pytest.mark.parametrize("p", [19131877, 57395629, 86093443])
+def test_p_minus_one_with_an_odd_prime_power_past_a_block(p):
+    # p = 4 * 3**14 + 1, 4 * 3**15 + 1 and 2 * 3**16 + 1: a power of 3 above
+    # one block's index span (2**21) divides p - 1, so a stride of that power
+    # would start past the block's end.
+    assert is_prime(p) and 3**14 > 2 * sievelab._SEGMENT_SPAN
+    window = stride_pass(p - 50, p + 50)
+    assert (p, tuple(factorize(p - 1))) in window
+    for n, divisors in window:
+        assert divisors == tuple(factorize(n - 1)), n
+    assert list(p_minus_one_divisors([p])) == [(p, tuple(factorize(p - 1)))]
+
+
+def test_p_minus_one_divisors_with_nine_prime_factors():
+    # p - 1 can have nine distinct prime factors once it reaches 23# =
+    # 223092870, and past 2**31 the q slots are int64: 4294967387 - 1 is
+    # 2 * 2147483693, a prime factor that int32 would not hold.
+    primes = [892371481, 2454021571, 2677114441, 4294967387]
+    got = list(p_minus_one_divisors(primes))
+    assert got == [(p, tuple(factorize(p - 1))) for p in primes]
+    assert [len(divisors) for _, divisors in got] == [9, 9, 9, 2]
+    assert got[-1][1] == ((2, 1), (2147483693, 1))
+
+
+def test_p_minus_one_divisors_refuses_at_the_call():
+    with pytest.raises(ValueError, match="p - 1 must be >= 1, got p = 1"):
+        p_minus_one_divisors([1, 7])
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 31, 211, 2309, 2311])
+def test_slot_table_is_as_wide_as_omega_allows(monkeypatch, p):
+    # The slot table has one slot for each distinct prime factor that an
+    # integer <= max(p - 1) can have, and no more.  p - 1 is 1, 2, 6, 30, 210
+    # and 2310, each a primorial, and 2308 lies just below one.
+    widths = []
+
+    class RecordingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def zeros(self, shape, *args, **kwargs):
+            if np.ndim(shape) == 1 and len(shape) == 2:
+                widths.append(shape[1])
+            return np.zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(sievelab, "np", RecordingNumpy())
+    omega = max((len(factorize(n)) for n in range(2, p)), default=0)
+    assert list(p_minus_one_divisors([p])) == [(p, tuple(factorize(p - 1)))]
+    if p > 2:
+        assert stride_pass(p, p) == [(p, tuple(factorize(p - 1)))]
+    assert widths and set(widths) == {omega}
+
+
 def test_segmented_matches_simple(simple_prime_flags):
     # every small limit, and the limits around the first three segment ends;
     # a segment of odd flags spans 2 * _SEGMENT_SPAN integers
@@ -187,7 +240,7 @@ def test_segmented_matches_simple(simple_prime_flags):
 
 
 def test_prime_count_bound():
-    # _split sizes each side by _prime_count_bound(x); it must hold pi(x).
+    # _collect sizes each side by _prime_count_bound(x); it must hold pi(x).
     # The bound is tightest at x = 113, where pi(x) = 30 and 1.25506 x / ln x
     # is 30.003.
     top = 2 * 10**5
@@ -249,6 +302,28 @@ def test_prime_set_spec_refuses_at_construction(monkeypatch, fields, message):
     monkeypatch.setattr(sievelab, "_odd_blocks", lambda *args, **kwargs: asked.append(args))
     with pytest.raises(ValueError) as info:
         PrimeSetSpec(**fields)
+    assert str(info.value) == message
+    assert asked == []
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(lambda: PrimeSetSpec.threshold(10.5, 2), "x must be >= 1, got 10.5", id="float-x"),
+        pytest.param(lambda: PrimeSetSpec.threshold(np.int64(1000), 2), "x must be >= 1, got np.int64(1000)", id="numpy-x"),
+        pytest.param(lambda: PrimeSetSpec.residue(100, field_spec(7), 1.0), "divisor index 1.0 out of range for r=2", id="float-divisor-index"),
+        pytest.param(lambda: PrimeSetSpec.residue(100, field_spec(7), True), "divisor index True out of range for r=2", id="bool-divisor-index"),
+        pytest.param(lambda: PrimeSetSpec(x=30, kind="explicit", members=(2.0, 3)), "explicit prime set contains non-prime 2.0", id="float-member"),
+        pytest.param(lambda: PrimeSetSpec(x=30, kind="explicit", members=[2, 3]), "explicit prime set members must be a tuple, got [2, 3]", id="list-members"),
+    ],
+)
+def test_prime_set_spec_refuses_wrong_types_at_construction(monkeypatch, make, message):
+    # A field of the wrong type is a ValueError when the spec is made, not a
+    # TypeError or AttributeError from a later sieve or cache.
+    asked = []
+    monkeypatch.setattr(sievelab, "_odd_blocks", lambda *args, **kwargs: asked.append(args))
+    with pytest.raises(ValueError) as info:
+        make()
     assert str(info.value) == message
     assert asked == []
 
