@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import inspect
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass
@@ -41,9 +42,10 @@ _MR_TIER_SIZES = (2, 3, 4, 5, 6, 7, 9, len(_MR_WITNESSES))
 # 37#: gcd(n, 37#) > 1 iff a witness divides n, and then an n above the table is composite.
 _WITNESS_PRODUCT = math.prod(_MR_WITNESSES)
 
-# Trial division strips only the small primes: Pollard rho finishes the
-# cofactor in about q**0.5 steps for its smallest prime q, where dividing
-# on up to q would take q/2.
+# factorize strips the odd primes up to this limit with one gcd against their
+# product (_trial_primes), dividing only by those that the gcd shows divide
+# n; Pollard rho finishes the cofactor in about q**0.5 steps for its smallest
+# prime q, where dividing on up to q would take q/2.
 _TRIAL_DIVISION_LIMIT = 4096
 
 MAX_PRIME = 2**63  # supported field size: p < 2**63
@@ -90,20 +92,45 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Brent's rho multiplies this many differences into one product before it
+# takes a gcd with n (Brent 1980).
+_RHO_BATCH = 128
+
+
 def _pollard_rho(n: int) -> int:
-    """Floyd-cycle rho; returns a nontrivial factor of composite odd n."""
+    """Brent-cycle rho with batched gcds; returns a nontrivial factor of composite odd n."""
     # Deterministic parameter sweep keeps factorizations reproducible.
     for c in range(1, n):
-        x = y = 2
-        d = 1
+        y, r, prod, d = 2, 1, 1, 1
         while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
+            x = y  # y skips r steps, then is compared with x over the next r
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and d == 1:
+                saved = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * (x - y) % n
+                d = math.gcd(prod, n)
+                k += _RHO_BATCH
+            r *= 2
+        if d == n:  # the batch's product is 0 mod n: step through it one at a time
+            y, d = saved, 1
+            while d == 1:
+                y = (y * y + c) % n
+                d = math.gcd(x - y, n)
         if d != n:
             return d
     raise ArithmeticError(f"rho failed on {n}")  # unreachable for composite n
+
+
+@functools.cache
+def _trial_primes() -> tuple[tuple[int, ...], int]:
+    """The odd primes up to _TRIAL_DIVISION_LIMIT, ascending, and their product."""
+    odd = range(3, _TRIAL_DIVISION_LIMIT + 1, 2)
+    primes = tuple(itertools.compress(odd, _odd_prime_flags()[1 : len(odd) + 1]))
+    return primes, math.prod(primes)
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -115,15 +142,22 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if not 1 <= n < MAX_PRIME:
         raise ValueError(f"factorize requires 1 <= n < 2**63, got {n}")
     factors: dict[int, int] = {}
-    while n % 2 == 0:
-        factors[2] = factors.get(2, 0) + 1
-        n //= 2
-    d = 3
-    while d * d <= n and d <= _TRIAL_DIVISION_LIMIT:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 2
+    twos = (n & -n).bit_length() - 1
+    if twos:
+        factors[2] = twos
+        n >>= twos
+    primes, product = _trial_primes()
+    g = math.gcd(n, product)  # the product of the trial primes that divide n
+    for q in primes:
+        if g == 1:
+            break
+        if g % q == 0:
+            g //= q
+            alpha = 0
+            while n % q == 0:
+                n //= q
+                alpha += 1
+            factors[q] = alpha
     if n > 1:
         stack = [n]
         while stack:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -266,10 +267,11 @@ class PrimeSetSpec:
     (q_i-th power residues mod p), or an explicit list.
 
     A spec is checked when it is made, by the constructor or a classmethod:
-    __post_init__ checks x and that members is a tuple (the caches hash it),
-    and _membership the kind and its parameters, each refusal a ValueError
-    raised before anything is sieved.  x, divisor_index and each member must
-    be of type int, not a float, a bool or a numpy integer.
+    __post_init__ checks x, that members is a tuple, field a FieldSpec and u a
+    real number (the caches hash them), and _membership the kind and its
+    parameters, each refusal a ValueError raised before anything is sieved.
+    x, divisor_index and each member must be of type int, not a float, a
+    bool or a numpy integer.
     """
 
     x: int
@@ -284,6 +286,10 @@ class PrimeSetSpec:
             raise ValueError(f"x must be >= 1, got {self.x!r}")
         if self.members is not None and type(self.members) is not tuple:
             raise ValueError(f"explicit prime set members must be a tuple, got {self.members!r}")
+        if self.field is not None and not isinstance(self.field, FieldSpec):
+            raise ValueError(f"field must be a FieldSpec, got {self.field!r}")
+        if self.u is not None and not isinstance(self.u, numbers.Real):
+            raise ValueError(f"u must be a real number, got {self.u!r}")
         _membership(self)
 
     @classmethod

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import os
 import random
@@ -255,6 +256,119 @@ def trial_division_factors(n):
 @settings(max_examples=100, deadline=None)
 def test_factorize_matches_trial_division(n):
     assert factorize(n) == trial_division_factors(n)
+
+
+def floyd_rho(n):
+    """The reference rho: Floyd's cycle, three squarings and one gcd per step."""
+    for c in range(1, n):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(abs(x - y), n)
+        if d != n:
+            return d
+    raise ArithmeticError(f"rho failed on {n}")
+
+
+def loop_factorize(n):
+    """The reference: factorize with its trial-division loop and Floyd rho."""
+    factors = {}
+    while n % 2 == 0:
+        factors[2] = factors.get(2, 0) + 1
+        n //= 2
+    d = 3
+    while d * d <= n and d <= modcore._TRIAL_DIVISION_LIMIT:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 2
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+            continue
+        f = floyd_rho(m)
+        stack += [f, m // f]
+    return sorted(factors.items())
+
+
+def primes_near_2_62(count, seed=62):
+    rng = random.Random(seed)
+    primes = []
+    for _ in range(count):
+        p = 2**62 + rng.randrange(2**52) | 1
+        while not is_prime(p):
+            p += 2
+        primes.append(p)
+    return primes
+
+
+def test_factorize_matches_the_loop_reference():
+    # 3000 seeded n of uniformly drawn bit length up to 63 (so both sides of
+    # _TRIAL_DIVISION_LIMIT**2 and the rho regime), the p - 1 of 300 seeded
+    # primes near 2**62, a p - 1 that splits into two primes near 2**31, a
+    # square near 2**62, 41# times a prime k on each side of 41 and of the
+    # trial limit, and a pure power of 2 and of 3.
+    rng = random.Random(63)
+    sample = [rng.randrange(1 << (b - 1), 1 << b) for b in (rng.randrange(1, 64) for _ in range(3000))]
+    sample += [p - 1 for p in primes_near_2_62(300)]
+    sample += [4613083283583105886, 2147483647**2, 2**62, 3**39]
+    primorial_41 = math.prod(q for q in range(2, 42) if is_prime(q))
+    sample += [primorial_41 * k for k in (2, 3, 41, 43, 4093, 4099, 30011)]
+    assert all(1 <= n < modcore.MAX_PRIME for n in sample)
+    assert [factorize(n) for n in sample] == [loop_factorize(n) for n in sample]
+    assert factorize(4613083283583105886) == [(2, 1), (972470539, 1), (2371837037, 1)]
+
+
+def test_trial_primes_are_built_on_first_use():
+    # The prime list and product come from the sieve table, are rebuilt
+    # after the caches are cleared, and hold every odd prime up to the limit.
+    modcore._trial_primes.cache_clear()
+    modcore._odd_prime_flags.cache_clear()
+    primes, product = modcore._trial_primes()
+    limit = modcore._TRIAL_DIVISION_LIMIT
+    assert primes == tuple(q for q in range(3, limit + 1, 2) if trial_division_is_prime(q))
+    assert product == math.prod(primes)
+    assert factorize(primes[-1] * 2**3) == [(2, 3), (primes[-1], 1)]
+
+
+def test_pollard_rho_steps_back_and_moves_to_the_next_c():
+    # A batch whose product is 0 mod n steps back one step at a time from its
+    # saved y, and a walk that finds only n moves on to the next c.  Small
+    # odd composites reach both (n = 25 first); every odd composite below
+    # 2e5 splits.
+    rho = modcore._pollard_rho
+    lines, start = inspect.getsourcelines(rho)
+    step_back = start + next(i for i, line in enumerate(lines) if "y, d = saved, 1" in line)
+    seen_lines, seen_c = set(), set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not rho.__code__:
+            return None
+
+        def local(frame, event, arg):
+            seen_lines.add(frame.f_lineno)
+            seen_c.add(frame.f_locals.get("c"))
+            return local
+
+        return local
+
+    sys.settrace(trace)
+    try:
+        assert 1 < rho(25) < 25
+    finally:
+        sys.settrace(None)
+    assert step_back in seen_lines
+    assert 2 in seen_c
+    flags = prime_flags(2 * 10**5)  # flags[i] iff 2i + 1 is prime
+    for n in range(9, 2 * 10**5, 2):
+        if not flags[n // 2]:
+            d = rho(n)
+            assert 1 < d < n and n % d == 0, n
 
 
 # ---------------------------------------------------------------------------

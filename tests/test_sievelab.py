@@ -293,6 +293,10 @@ def test_explicit_set_validation():
         pytest.param(dict(x=10, kind="explicit"), "explicit prime set contains non-prime None", id="explicit-without-members"),
         pytest.param(dict(x=30, kind="explicit", members=(4, 9)), "explicit prime set contains non-prime 4", id="explicit-composites"),
         pytest.param(dict(x=10, kind="bogus"), "unknown prime set kind 'bogus'", id="unknown-kind"),
+        pytest.param(dict(x=10, kind="residue", field={}, divisor_index=0), "field must be a FieldSpec, got {}", id="dict-field"),
+        pytest.param(dict(x=10, kind="residue", field=7, divisor_index=0), "field must be a FieldSpec, got 7", id="int-field"),
+        pytest.param(dict(x=10, kind="threshold", u=[2]), "u must be a real number, got [2]", id="list-u"),
+        pytest.param(dict(x=10, kind="threshold", u="2"), "u must be a real number, got '2'", id="str-u"),
     ],
 )
 def test_prime_set_spec_refuses_at_construction(monkeypatch, fields, message):
