@@ -26,11 +26,11 @@ survey's, which would otherwise factor every prime below p_max.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -261,17 +261,18 @@ def _divisor_runs(primes, rem, found):
         yield p, tuple(itertools.islice(pairs, count))
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class PrimeSetSpec:
     """A subset of the primes <= x: threshold (p <= x**(1/u)), residue
     (q_i-th power residues mod p), or an explicit list.
 
     A spec is checked when it is made, by the constructor or a classmethod:
     __post_init__ checks x, that members is a tuple, field a FieldSpec and u a
-    real number (the caches hash them), and _membership the kind and its
-    parameters, each refusal a ValueError raised before anything is sieved.
-    x, divisor_index and each member must be of type int, not a float, a
-    bool or a numpy integer.
+    real number, and _membership the kind and its parameters, each refusal a
+    ValueError raised before anything is sieved.  x, divisor_index and each
+    member must be of type int, not a float, a bool or a numpy integer.  The
+    spec keeps the membership test it was checked with, out of ==, hash and
+    repr, so realize() checks nothing again and nothing hashes a spec.
     """
 
     x: int
@@ -280,6 +281,7 @@ class PrimeSetSpec:
     field: FieldSpec | None = None
     divisor_index: int | None = None
     members: tuple[int, ...] | None = None
+    _inside: partial = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if type(self.x) is not int or self.x < 1:
@@ -290,7 +292,7 @@ class PrimeSetSpec:
             raise ValueError(f"field must be a FieldSpec, got {self.field!r}")
         if self.u is not None and not isinstance(self.u, numbers.Real):
             raise ValueError(f"u must be a real number, got {self.u!r}")
-        _membership(self)
+        object.__setattr__(self, "_inside", _membership(self))
 
     @classmethod
     def threshold(cls, x: int, u: float) -> "PrimeSetSpec":
@@ -311,65 +313,63 @@ class PrimeSetSpec:
 
     def realize(self) -> np.ndarray:
         """The realized prime set, ascending (read-only array)."""
-        return _split(self)[0]
+        return _split(self.x, self._inside)[0]
 
     def complement(self) -> np.ndarray:
         """Primes <= x missing from the realized set, ascending (read-only array)."""
-        return _split(self)[1]
+        return _split(self.x, self._inside)[1]
 
 
 # realize() and complement() split one sieve of [0, x], so the mertens_sum,
-# psi_count and complement_product of one check share it.
+# psi_count and complement_product of one check share it.  The key is x and
+# the spec's own test, which hashes by identity.
 @lru_cache(maxsize=1)
-def _split(spec: PrimeSetSpec) -> tuple[np.ndarray, np.ndarray]:
-    parts = _collect(spec.x, _membership(spec))
+def _split(x: int, inside) -> tuple[np.ndarray, np.ndarray]:
+    parts = _collect(x, inside)
     for arr in parts:
         arr.flags.writeable = False
     return parts
 
 
-# Made at construction and asked for again by _split, so an explicit set's
-# members are checked once, not again when the spec is first realized.
-@lru_cache(maxsize=1)
-def _membership(spec: PrimeSetSpec):
+def _membership(spec: PrimeSetSpec) -> partial:
     """The set's membership test: ascending int64 primes -> boolean mask.
 
     Each branch checks the fields it reads before it builds the test, and an
-    unknown kind is refused; PrimeSetSpec.__post_init__ calls it, so no bad
-    spec is made."""
+    unknown kind is refused; PrimeSetSpec.__post_init__ calls it once and
+    keeps the test, a partial of module-level functions, so a spec pickles."""
     if spec.kind == "threshold":
         if spec.u is None or not spec.u >= 1:  # nan fails it too
             raise ValueError(f"u must be >= 1, got {spec.u}")
-        limit = math.exp(math.log(spec.x) / spec.u) if spec.x > 1 else 1.0
-        cut = int(limit * (1.0 + 1e-12))
-        return lambda primes: primes <= cut
+        try:
+            limit = math.exp(math.log(spec.x) / spec.u) if spec.x > 1 else 1.0
+        except OverflowError:  # an int u past the largest float cuts where inf does
+            limit = 1.0
+        return partial(np.greater_equal, int(limit * (1.0 + 1e-12)))  # primes <= limit, up to rounding
     if spec.kind == "residue":
         field = spec.field
         r = field.r if isinstance(field, FieldSpec) else None
         if r is None or type(spec.divisor_index) is not int or spec.divisor_index not in range(r):
             raise ValueError(f"divisor index {spec.divisor_index} out of range for r={r}")
-        p = field.p
-        q, _ = field.divisors[spec.divisor_index]
-        exp = (p - 1) // q
-
-        def inside(primes):
-            # One pow per residue class of the block, all in one _pow_mod
-            # call while it is exact; class 0 (t = p) gives pow(0, exp, p) = 0.
-            residues = primes % p
-            classes = np.unique(residues)
-            if p <= _POW_MOD_MAX:
-                hits = classes[_pow_mod(classes, exp, p) == 1]
-            else:
-                hits = [c for c in classes.tolist() if pow(c, exp, p) == 1]
-            return np.isin(residues, hits)
-
-        return inside
+        return partial(_residue_inside, field.p, (field.p - 1) // field.divisors[spec.divisor_index][0])
     if spec.kind == "explicit":
         for p in (None,) if spec.members is None else spec.members:
             if type(p) is not int or not is_prime(p):
                 raise ValueError(f"explicit prime set contains non-prime {p!r}")
-        return lambda primes: np.isin(primes, spec.members)
+        return partial(np.isin, test_elements=spec.members)
     raise ValueError(f"unknown prime set kind {spec.kind!r}")
+
+
+def _residue_inside(p: int, exp: int, primes: np.ndarray) -> np.ndarray:
+    """The mask of the primes t with t**exp = 1 mod p: one pow per residue
+    class of the block, all in one _pow_mod call while it is exact; class 0
+    (t = p) gives pow(0, exp, p) = 0."""
+    residues = primes % p
+    classes = np.unique(residues)
+    if p <= _POW_MOD_MAX:
+        hits = classes[_pow_mod(classes, exp, p) == 1]
+    else:
+        hits = [c for c in classes.tolist() if pow(c, exp, p) == 1]
+    return np.isin(residues, hits)
 
 
 def psi_count(spec: PrimeSetSpec) -> int:
@@ -545,7 +545,7 @@ def dickman_rho(u: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SieveReport:
     """Exact Psi, the inclusion-exclusion prediction, and the harmonic hypothesis."""
 

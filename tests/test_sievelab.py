@@ -1,9 +1,12 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smallgen import experiments, sievelab
 from smallgen.cli import run
@@ -297,6 +300,8 @@ def test_explicit_set_validation():
         pytest.param(dict(x=10, kind="residue", field=7, divisor_index=0), "field must be a FieldSpec, got 7", id="int-field"),
         pytest.param(dict(x=10, kind="threshold", u=[2]), "u must be a real number, got [2]", id="list-u"),
         pytest.param(dict(x=10, kind="threshold", u="2"), "u must be a real number, got '2'", id="str-u"),
+        pytest.param(dict(x=10, kind="residue", field=field_spec(7), divisor_index=[0]), "divisor index [0] out of range for r=2", id="list-divisor-index"),
+        pytest.param(dict(x=10, kind=["threshold"]), "unknown prime set kind ['threshold']", id="list-kind"),
     ],
 )
 def test_prime_set_spec_refuses_at_construction(monkeypatch, fields, message):
@@ -332,12 +337,88 @@ def test_prime_set_spec_refuses_wrong_types_at_construction(monkeypatch, make, m
     assert asked == []
 
 
+# Any value for a field: None, numbers of every sort, strings, containers,
+# numpy scalars and FieldSpecs.
+_FIELDS = [field_spec(7), field_spec(31), field_spec(4611686018427388039)]
+_ANY_VALUE = st.one_of(
+    st.none(),
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.lists(st.integers(-3, 20), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=2)), max_size=3).map(tuple),
+    st.sampled_from([np.int64(7), np.float64("nan"), np.float32(2.5), np.bool_(True), np.str_("residue")]),
+    st.sampled_from(_FIELDS),
+)
+
+
+def _good_or_any(good):
+    """A value drawn from good half the time and any value otherwise, so that
+    one odd field among good ones is drawn often (st.one_of would flatten
+    _ANY_VALUE's branches and draw from good one time in eleven)."""
+    return st.booleans().flatmap(lambda is_good: good if is_good else _ANY_VALUE)
+
+
+@given(
+    x=_good_or_any(st.integers(1, 200)).filter(lambda v: type(v) is not int or v <= 200),
+    kind=_good_or_any(st.sampled_from(["threshold", "residue", "explicit"])),
+    u=_good_or_any(st.floats(1, 8)),
+    field=_good_or_any(st.sampled_from(_FIELDS)),
+    divisor_index=_good_or_any(st.integers(-1, 3)),
+    members=_good_or_any(st.lists(st.sampled_from([2, 3, 5, 7, 199, 211]), max_size=4).map(tuple)),
+)
+@example(x=200, kind="threshold", u=10**400, field=None, divisor_index=None, members=None)
+@settings(max_examples=400, deadline=None)
+def test_prime_set_spec_takes_any_value(x, kind, u, field, divisor_index, members):
+    # Whatever each field holds, the spec is either made and realized or
+    # refused with a ValueError before anything is sieved.
+    fields = dict(x=x, kind=kind, u=u, field=field, divisor_index=divisor_index, members=members)
+    asked = []
+    odd_blocks = sievelab._odd_blocks
+
+    def spy(*args, **kwargs):
+        asked.append(args)
+        return odd_blocks(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sievelab, "_odd_blocks", spy)
+        try:
+            spec = PrimeSetSpec(**fields)
+        except ValueError:
+            assert asked == [], fields
+            return
+        inside, outside = spec.realize(), spec.complement()
+    assert np.union1d(inside, outside).tolist() == primes_upto(x).tolist(), fields
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        PrimeSetSpec.threshold(1000, 2.5),
+        PrimeSetSpec.residue(1000, field_spec(31), 1),
+        PrimeSetSpec.explicit(1000, [7, 2, 3, 1009]),
+    ],
+    ids=["threshold", "residue", "explicit"],
+)
+def test_prime_set_spec_round_trips(spec):
+    # The spec keeps the test it was checked with; a copy keeps one too, and
+    # replace() makes the spec, and so checks it, again.
+    for other in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec), dataclasses.replace(spec)):
+        assert other == spec and hash(other) == hash(spec)
+        assert other.realize().tolist() == spec.realize().tolist()
+        assert other.complement().tolist() == spec.complement().tolist()
+    if spec.kind == "explicit":
+        with pytest.raises(ValueError, match="explicit prime set contains non-prime 4"):
+            dataclasses.replace(spec, members=(4,))
+
+
 def test_explicit_members_are_checked_once(monkeypatch):
-    # realize() asks _membership for the test that the spec was checked by
-    # when it was made; the members' primality is not tested again.
+    # realize() uses the test that the spec was checked with when it was
+    # made; the members' primality is not tested again.
     checked = []
     monkeypatch.setattr(sievelab, "is_prime", lambda n: checked.append(n) or is_prime(n))
-    sievelab._membership.cache_clear()
     sievelab._split.cache_clear()
     spec = PrimeSetSpec.explicit(100, [5, 3, 2, 101])
     assert spec.realize().tolist() == [2, 3, 5]
@@ -363,6 +444,21 @@ def test_residue_set_members_are_residues():
         for i, (q, _) in enumerate(f.divisors):
             expected = [t for t in primes_upto(x).tolist() if t % p and pow(t, (p - 1) // q, p) == 1]
             assert PrimeSetSpec.residue(x, f, i).realize().tolist() == expected, (x, p, q)
+
+
+@pytest.mark.parametrize("p, fast", [(3037000493, True), (3037000507, False)])
+def test_residue_sets_at_the_pow_mod_bound(monkeypatch, p, fast):
+    # The largest prime <= _POW_MOD_MAX takes _pow_mod, the smallest above it
+    # Python's pow; both give the per-prime filter for every divisor index.
+    calls = []
+    pow_mod = sievelab._pow_mod
+    monkeypatch.setattr(sievelab, "_pow_mod", lambda *args: calls.append(args[2]) or pow_mod(*args))
+    x, f = 10**5, field_spec(p)
+    primes = primes_upto(x).tolist()
+    for i, (q, _) in enumerate(f.divisors):
+        expected = [t for t in primes if pow(t, (p - 1) // q, p) == 1]
+        assert PrimeSetSpec.residue(x, f, i).realize().tolist() == expected, q
+    assert set(calls) == ({p} if fast else set())
 
 
 def test_complement_partitions():
